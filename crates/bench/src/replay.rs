@@ -23,7 +23,7 @@ const SEED: u32 = 0xbeef;
 #[derive(Debug, Clone)]
 pub struct ReplayPoint {
     pub interval: u64,
-    /// One-time `enable_time_travel` cost: full memory image + baseline
+    /// One-time `enable_time_travel` cost: baseline fork + full-memory
     /// hash. Paid once per session, independent of run length, so it is
     /// reported separately from the recording overhead.
     pub setup: Duration,
@@ -31,7 +31,7 @@ pub struct ReplayPoint {
     pub wall: Duration,
     pub cycles: u64,
     pub checkpoints: usize,
-    /// Total dirty pages stored across all delta checkpoints.
+    /// Total pages changed between consecutive checkpoints.
     pub pages_stored: usize,
     /// Wall-clock ratio of the recorded run against the `interval == 0`
     /// control — the steady-state recording overhead.

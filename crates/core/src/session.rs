@@ -535,7 +535,7 @@ impl Session {
                 RuntimeEvent::BootComplete if coop => {
                     // Cooperation mode skips registration interception:
                     // adopt the runtime's graph wholesale.
-                    self.model.graph = self.sys.runtime.graph.clone();
+                    self.model.graph = (*self.sys.runtime.graph).clone();
                     self.model
                         .actors
                         .resize_with(self.model.graph.actors.len(), Default::default);
@@ -1474,9 +1474,10 @@ impl Session {
     }
 
     /// Turn on deterministic checkpointing: the current state becomes the
-    /// baseline (checkpoint 0, full memory image) and the run loop records
-    /// a delta checkpoint every `interval` cycles. Usually called right
-    /// after [`Session::boot`].
+    /// baseline (checkpoint 0, hashed over the full memory) and the run
+    /// loop records a checkpoint — a copy-on-write fork of the machine —
+    /// every `interval` cycles. Usually called right after
+    /// [`Session::boot`].
     pub fn enable_time_travel(&mut self, interval: u64) -> u32 {
         let mut mgr = CheckpointManager::new(interval);
         let snap = self.snap();
@@ -1550,7 +1551,7 @@ impl Session {
             // Field access, not `tt_mgr()`: the manager must stay
             // borrowed from `self.tt` alone so `self.sys` can be handed
             // to `restore` mutably alongside it.
-            let mgr = self.tt.as_ref().ok_or(TT_DISABLED)?;
+            let mgr = self.tt.as_mut().ok_or(TT_DISABLED)?;
             let cp = mgr
                 .restore(&mut self.sys, id)
                 .ok_or_else(|| format!("no checkpoint {id}"))?;
@@ -1656,7 +1657,7 @@ impl Session {
                     break;
                 }
                 let c = mgr.get(info.id).expect("listed checkpoint");
-                if c.machine.platform.pes[pe.index()].retired < r_now {
+                if c.sys.platform.pes[pe.index()].retired < r_now {
                     cand = Some(info.id);
                 }
             }
@@ -1773,10 +1774,8 @@ impl Session {
         replay::full_state_hash(&self.sys)
     }
 
-    /// Divergence findings (`REPLAY501`) accumulated by boundary
-    /// verification during replays.
-    /// `(checkpoints, delta pages stored)` — the E6 bench reports the
-    /// recording footprint per interval.
+    /// `(checkpoints, pages changed between checkpoints)` — the E6 bench
+    /// reports the recording footprint per interval.
     pub fn checkpoint_footprint(&self) -> (usize, usize) {
         match &self.tt {
             Some(m) => (
@@ -1787,6 +1786,8 @@ impl Session {
         }
     }
 
+    /// Divergence findings (`REPLAY501`) accumulated by boundary
+    /// verification during replays.
     pub fn replay_findings(&self) -> &[debuginfo::Finding] {
         self.tt.as_ref().map_or(&[], |m| m.findings())
     }

@@ -31,12 +31,8 @@ pub mod vm;
 
 pub use dma::{DmaEngine, DmaRequest, DmaStatus};
 pub use isa::{Insn, Program, ProgramBuilder};
-pub use memory::{
-    MemError, MemImage, Memory, MemoryMap, PageId, Region, WatchHit, WatchKind, PAGE_WORDS,
-};
-pub use platform::{
-    ClusterId, CycleReport, PeClass, PeId, Platform, PlatformConfig, PlatformState,
-};
+pub use memory::{MemError, Memory, MemoryMap, PageId, Region, WatchHit, WatchKind, PAGE_WORDS};
+pub use platform::{ClusterId, CycleReport, PeClass, PeId, Platform, PlatformConfig};
 pub use trap::{NullHandler, TrapCtx, TrapHandler, TrapResult};
 pub use vm::{
     BlockReason, Frame, PeState, PeStatus, StepEvent, VmFault, MAX_CALL_DEPTH, MAX_OPERAND_STACK,

@@ -15,13 +15,18 @@
 //! undebuggged fast path honest for the overhead benchmarks (experiment E1).
 //!
 //! Banks are stored as copy-on-write pages ([`PAGE_WORDS`] words each): a
-//! page is either shared (`Arc`, refcounted with every fork and base image
-//! that references it) or privately owned. Reads never promote; the first
+//! page is either shared (`Arc`, refcounted with every fork that
+//! references it) or privately owned. Reads never promote; the first
 //! store to a shared page copies just that page. This is what makes
-//! [`Memory::fork`] — and with it debugger-session forking and checkpoint
-//! base images — O(pages) in pointers rather than O(words) in copies: a
-//! thousand forked sessions of the same booted application share one set
-//! of page buffers until they actually diverge.
+//! [`Memory::fork`] — and with it debugger-session forking, multiverse
+//! universes and time-travel checkpoints — O(pages) in pointers rather
+//! than O(words) in copies: a thousand forked sessions of the same booted
+//! application share one set of page buffers until they actually diverge.
+//!
+//! The same sharing answers "what changed since that fork?": a page whose
+//! buffer is no longer the fork's buffer was written since
+//! ([`Memory::changed_pages`]). Checkpoint boundaries hash exactly those
+//! pages.
 
 use std::sync::Arc;
 
@@ -126,13 +131,12 @@ impl std::fmt::Display for MemError {
     }
 }
 
-/// Granularity of the dirty-page tracking used by checkpoint/replay: a
-/// bank is split into pages of this many words, and only pages written
-/// since the last checkpoint boundary are copied into the next delta.
+/// Copy-on-write granularity: a bank is split into pages of this many
+/// words, and a store copies at most one page.
 pub const PAGE_WORDS: u32 = 1024;
 
-/// One dirty-trackable page: a bank (region) plus the page index within
-/// it. Ordered so page sets hash and compare deterministically.
+/// One page: a bank (region) plus the page index within it. Ordered so
+/// page sets hash and compare deterministically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PageId {
     pub region: Region,
@@ -140,8 +144,8 @@ pub struct PageId {
 }
 
 /// One copy-on-write page of bank backing store. `Shared` pages are
-/// referenced by forked memories and checkpoint base images; the first
-/// store promotes the page to `Owned` by copying it.
+/// referenced by forked memories; the first store promotes the page to
+/// `Owned` by copying it.
 #[derive(Debug, Clone)]
 enum Page {
     Shared(Arc<[Word]>),
@@ -169,14 +173,19 @@ impl Page {
         }
     }
 
-    /// Freeze into shared form (fork/snapshot time) and hand out the Arc.
-    fn share(&mut self) -> Arc<[Word]> {
+    /// Freeze into shared form (fork time).
+    fn share(&mut self) {
         if let Page::Owned(v) = self {
             *self = Page::Shared(Arc::from(std::mem::take(v).into_boxed_slice()));
         }
-        match self {
-            Page::Shared(p) => Arc::clone(p),
-            Page::Owned(_) => unreachable!("just shared"),
+    }
+
+    /// Is this still the very buffer `earlier` holds? Only a shared page
+    /// can be: a store always leaves the page owned or re-shared anew.
+    fn same_buffer(&self, earlier: &Page) -> bool {
+        match (self, earlier) {
+            (Page::Shared(a), Page::Shared(b)) => Arc::ptr_eq(a, b),
+            _ => false,
         }
     }
 }
@@ -221,28 +230,22 @@ impl Bank {
         self.pages[page as usize].as_slice()
     }
 
-    fn restore_page(&mut self, page: u32, data: &[Word]) {
-        // Restores always carry a whole page; replacing the buffer avoids
-        // promoting (copying) a shared page only to overwrite it.
-        debug_assert_eq!(data.len(), self.pages[page as usize].as_slice().len());
-        self.pages[page as usize] = Page::Owned(data.to_vec());
-    }
-
-    /// Freeze every page into shared form, returning the Arcs (snapshot).
-    fn share(&mut self) -> Vec<Arc<[Word]>> {
-        self.pages.iter_mut().map(Page::share).collect()
-    }
-
-    /// Freeze every page into shared form without collecting (fork).
-    fn share_in_place(&mut self) {
+    /// Freeze every page into shared form (fork).
+    fn share(&mut self) {
         for p in &mut self.pages {
             p.share();
         }
     }
 
-    fn restore_from(&mut self, shared: &[Arc<[Word]>]) {
-        for (p, s) in self.pages.iter_mut().zip(shared) {
-            *p = Page::Shared(Arc::clone(s));
+    /// Append the pages whose buffer differs from `earlier`'s.
+    fn changed_pages(&self, earlier: &Bank, region: Region, out: &mut Vec<PageId>) {
+        for (page, (now, then)) in self.pages.iter().zip(&earlier.pages).enumerate() {
+            if !now.same_buffer(then) {
+                out.push(PageId {
+                    region,
+                    page: page as u32,
+                });
+            }
         }
     }
 
@@ -260,28 +263,6 @@ impl Bank {
             .filter(|p| matches!(p, Page::Owned(_)))
             .map(|p| p.as_slice().len())
             .sum()
-    }
-}
-
-/// A full image of every memory bank — the base a checkpoint chain starts
-/// from. Pages are shared with the live memory they were snapshotted
-/// from, so taking (and keeping) an image costs refcounts, not copies;
-/// deltas (dirty pages) apply on top of this.
-#[derive(Debug, Clone)]
-pub struct MemImage {
-    l1: Vec<Vec<Arc<[Word]>>>,
-    l2: Vec<Arc<[Word]>>,
-    l3: Vec<Arc<[Word]>>,
-}
-
-impl MemImage {
-    /// The words of `page` within this image (last page may be partial).
-    pub fn page_data(&self, p: PageId) -> &[Word] {
-        match p.region {
-            Region::L1 { cluster } => &self.l1[cluster as usize][p.page as usize],
-            Region::L2 => &self.l2[p.page as usize],
-            Region::L3 => &self.l3[p.page as usize],
-        }
     }
 }
 
@@ -321,14 +302,6 @@ pub struct Memory {
     l3: Bank,
     watches: Vec<Watch>,
     hits: Vec<WatchHit>,
-    /// Dirty-page flags per bank, mirroring the bank layout above, plus an
-    /// append-only list of first-touched pages — O(1) marking per store,
-    /// and a checkpoint boundary drains the list instead of scanning the
-    /// full (mostly idle) hierarchy.
-    dirty_l1: Vec<Vec<bool>>,
-    dirty_l2: Vec<bool>,
-    dirty_l3: Vec<bool>,
-    dirty_list: Vec<PageId>,
     /// Total accesses, for the simulator-throughput benchmark (B4).
     pub reads: u64,
     pub writes: u64,
@@ -345,12 +318,6 @@ impl Memory {
             l2: Bank::new(map.l2_words),
             l3: Bank::new(map.l3_words),
             l1,
-            dirty_l1: (0..map.clusters)
-                .map(|_| vec![false; pages_for(map.l1_words)])
-                .collect(),
-            dirty_l2: vec![false; pages_for(map.l2_words)],
-            dirty_l3: vec![false; pages_for(map.l3_words)],
-            dirty_list: Vec::new(),
             map,
             watches: Vec::new(),
             hits: Vec::new(),
@@ -361,19 +328,6 @@ impl Memory {
 
     pub fn map(&self) -> &MemoryMap {
         &self.map
-    }
-
-    fn mark_dirty(&mut self, region: Region, off: u32) {
-        let page = off / PAGE_WORDS;
-        let flag = match region {
-            Region::L1 { cluster } => &mut self.dirty_l1[cluster as usize][page as usize],
-            Region::L2 => &mut self.dirty_l2[page as usize],
-            Region::L3 => &mut self.dirty_l3[page as usize],
-        };
-        if !*flag {
-            *flag = true;
-            self.dirty_list.push(PageId { region, page });
-        }
     }
 
     #[inline]
@@ -420,7 +374,6 @@ impl Memory {
         self.writes += 1;
         let watched = self.match_watch(addr, true);
         let (region, off) = self.map.decode(addr)?;
-        self.mark_dirty(region, off);
         let lat = self.map.latency(region);
         let cell = self.bank_mut(region).get_mut(off);
         let old = *cell;
@@ -451,7 +404,6 @@ impl Memory {
     /// Execution").
     pub fn poke(&mut self, addr: u32, value: Word) -> Result<(), MemError> {
         let (region, off) = self.map.decode(addr)?;
-        self.mark_dirty(region, off);
         *self.bank_mut(region).get_mut(off) = value;
         Ok(())
     }
@@ -492,73 +444,47 @@ impl Memory {
         !self.hits.is_empty()
     }
 
-    // ---- checkpoint/replay support ----------------------------------------
-
-    /// Drain the dirty-page set (sorted) and clear all flags. Called at
-    /// each checkpoint boundary so the next interval starts clean.
-    pub fn take_dirty(&mut self) -> Vec<PageId> {
-        let mut list = std::mem::take(&mut self.dirty_list);
-        for p in &list {
-            match p.region {
-                Region::L1 { cluster } => {
-                    self.dirty_l1[cluster as usize][p.page as usize] = false;
-                }
-                Region::L2 => self.dirty_l2[p.page as usize] = false,
-                Region::L3 => self.dirty_l3[p.page as usize] = false,
-            }
-        }
-        list.sort_unstable();
-        list
-    }
+    // ---- forks and time travel -------------------------------------------
 
     /// The live words of `page` (last page of a bank may be partial).
     pub fn page_data(&self, p: PageId) -> &[Word] {
         self.bank(p.region).page(p.page)
     }
 
-    /// Overwrite one page with checkpointed content. Bypasses dirty
-    /// marking: a restore rewinds the memory image, it is not a write the
-    /// replayed execution performed.
-    pub fn restore_page(&mut self, p: PageId, data: &[Word]) {
-        self.bank_mut(p.region).restore_page(p.page, data);
-    }
-
-    /// Full image of all banks (checkpoint base image). Freezes every page
-    /// into shared form, so the image and the live memory reference the
-    /// same buffers until the simulation writes again — taking a baseline
-    /// is O(pages), not O(words).
-    pub fn snapshot_full(&mut self) -> MemImage {
-        MemImage {
-            l1: self.l1.iter_mut().map(Bank::share).collect(),
-            l2: self.l2.share(),
-            l3: self.l3.share(),
-        }
-    }
-
-    /// Restore every bank from a full image (shared page references — the
-    /// next write promotes). Clears pending watch hits (they belong to the
-    /// abandoned timeline) but keeps the installed watches — like GDB,
-    /// watchpoints survive time travel.
-    pub fn restore_full(&mut self, img: &MemImage) {
-        for (bank, shared) in self.l1.iter_mut().zip(&img.l1) {
-            bank.restore_from(shared);
-        }
-        self.l2.restore_from(&img.l2);
-        self.l3.restore_from(&img.l3);
-        self.hits.clear();
-    }
-
     /// Copy-on-write fork: every page of every bank becomes shared between
     /// `self` and the returned memory; the first store on either side
-    /// copies just the page it touches. Watches, dirty tracking and access
-    /// counters carry over verbatim.
+    /// copies just the page it touches. Watches and access counters carry
+    /// over verbatim.
     pub fn fork(&mut self) -> Memory {
         for b in &mut self.l1 {
-            b.share_in_place();
+            b.share();
         }
-        self.l2.share_in_place();
-        self.l3.share_in_place();
+        self.l2.share();
+        self.l3.share();
         self.clone()
+    }
+
+    /// Pages changed since `earlier`, a fork this memory descends from:
+    /// every page stored to (or poked) on this side since the fork,
+    /// ordered by [`Region`] and then by page. Reads never count, and
+    /// neither do writes `earlier` or any other fork made.
+    pub fn changed_pages(&self, earlier: &Memory) -> Vec<PageId> {
+        let mut out = Vec::new();
+        for (c, (now, then)) in self.l1.iter().zip(&earlier.l1).enumerate() {
+            now.changed_pages(then, Region::L1 { cluster: c as u16 }, &mut out);
+        }
+        self.l2.changed_pages(&earlier.l2, Region::L2, &mut out);
+        self.l3.changed_pages(&earlier.l3, Region::L3, &mut out);
+        out
+    }
+
+    /// Take over the watches installed on `abandoned`, the memory of a
+    /// timeline time travel just left. Its pending hits are dropped: they
+    /// belong to that timeline. Like GDB's, watchpoints survive time
+    /// travel.
+    pub fn inherit_watches(&mut self, abandoned: &Memory) {
+        self.watches.clone_from(&abandoned.watches);
+        self.hits.clear();
     }
 
     /// Words privately owned by this memory (copy-on-write pages actually
@@ -571,7 +497,7 @@ impl Memory {
     }
 
     /// Feed the complete memory content to a hasher (baseline hash of a
-    /// checkpoint chain; boundary hashes only cover dirty pages). Generic
+    /// checkpoint chain; boundary hashes only cover changed pages). Generic
     /// (not `dyn`) on purpose: this walks every word of every bank, and
     /// monomorphisation lets the hasher's word fast path inline.
     pub fn hash_full<H: std::hash::Hasher>(&self, h: &mut H) {
@@ -672,66 +598,42 @@ mod tests {
     }
 
     #[test]
-    fn writes_mark_pages_dirty_reads_do_not() {
+    fn changed_pages_count_writes_and_pokes_of_this_fork_only() {
         let mut m = mem();
-        m.read(L2_BASE).unwrap();
-        assert!(m.take_dirty().is_empty(), "reads must not dirty pages");
         m.write(L2_BASE, 1).unwrap();
+        let base = m.fork();
+        let mut sibling = m.fork();
+        m.read(L1_BASE).unwrap();
+        let _ = m.peek(L2_BASE + 5).unwrap();
+        assert!(m.changed_pages(&base).is_empty(), "reads must not count");
+
+        m.write(L3_BASE + PAGE_WORDS, 3).unwrap();
+        m.write(L2_BASE, 1).unwrap(); // same value: still a store
         m.write(L2_BASE + 1, 2).unwrap(); // same page: no second entry
-        m.poke(L3_BASE + PAGE_WORDS, 3).unwrap(); // pokes dirty too
-        let dirty = m.take_dirty();
+        m.poke(L1_BASE + L1_STRIDE, 4).unwrap(); // pokes count too
+        m.write(L1_BASE, 5).unwrap();
+        // The sibling fork's writes stay invisible here, and vice versa.
+        sibling.write(L2_BASE + 4 * PAGE_WORDS, 6).unwrap();
+        let page = |region, page| PageId { region, page };
         assert_eq!(
-            dirty,
+            m.changed_pages(&base),
             vec![
-                PageId {
-                    region: Region::L2,
-                    page: 0
-                },
-                PageId {
-                    region: Region::L3,
-                    page: 1
-                },
-            ]
+                page(Region::L1 { cluster: 0 }, 0),
+                page(Region::L1 { cluster: 1 }, 0),
+                page(Region::L2, 0),
+                page(Region::L3, 1),
+            ],
+            "ordered by region, then page"
         );
-        // Drained: flags reset, next write re-marks.
-        assert!(m.take_dirty().is_empty());
-        m.write(L2_BASE, 9).unwrap();
-        assert_eq!(m.take_dirty().len(), 1);
-    }
+        assert_eq!(sibling.changed_pages(&base), vec![page(Region::L2, 4)]);
 
-    #[test]
-    fn restore_page_bypasses_dirty_marking() {
-        let mut m = mem();
-        m.write(L1_BASE + 3, 77).unwrap();
-        let page = PageId {
-            region: Region::L1 { cluster: 0 },
-            page: 0,
-        };
-        let saved: Vec<Word> = m.page_data(page).to_vec();
-        assert_eq!(saved[3], 77);
-        m.take_dirty();
-        m.restore_page(page, &saved);
-        assert!(m.take_dirty().is_empty(), "restore is not an app write");
-    }
-
-    #[test]
-    fn full_image_round_trip() {
-        let mut m = mem();
-        m.write(L1_BASE + 1, 11).unwrap();
-        m.write(L2_BASE + 2, 22).unwrap();
-        let img = m.snapshot_full();
-        m.write(L1_BASE + 1, 99).unwrap();
-        m.write(L3_BASE, 5).unwrap();
-        m.restore_full(&img);
-        assert_eq!(m.peek(L1_BASE + 1).unwrap(), 11);
-        assert_eq!(m.peek(L2_BASE + 2).unwrap(), 22);
-        assert_eq!(m.peek(L3_BASE).unwrap(), 0);
+        // A fresh fork is the new reference: nothing changed since it.
+        let next = m.fork();
+        assert!(m.changed_pages(&next).is_empty());
+        m.write(L1_BASE, 9).unwrap();
         assert_eq!(
-            img.page_data(PageId {
-                region: Region::L2,
-                page: 0
-            })[2],
-            22
+            m.changed_pages(&next),
+            vec![page(Region::L1 { cluster: 0 }, 0)]
         );
     }
 
@@ -756,42 +658,16 @@ mod tests {
     }
 
     #[test]
-    fn fork_preserves_dirty_tracking_independence() {
-        let mut m = mem();
-        m.write(L2_BASE, 1).unwrap();
-        m.take_dirty();
-        let mut child = m.fork();
-        child.write(L2_BASE + 1, 2).unwrap();
-        assert_eq!(child.take_dirty().len(), 1);
-        assert!(m.take_dirty().is_empty(), "parent saw the child's write");
-    }
-
-    #[test]
-    fn snapshot_stays_frozen_while_live_memory_moves_on() {
-        let mut m = mem();
-        m.write(L2_BASE + 3, 33).unwrap();
-        let img = m.snapshot_full();
-        m.write(L2_BASE + 3, 44).unwrap();
-        let p = PageId {
-            region: Region::L2,
-            page: 0,
-        };
-        assert_eq!(img.page_data(p)[3], 33, "image must not track live writes");
-        assert_eq!(m.peek(L2_BASE + 3).unwrap(), 44);
-        m.restore_full(&img);
-        assert_eq!(m.peek(L2_BASE + 3).unwrap(), 33);
-    }
-
-    #[test]
     fn last_partial_page_has_short_slice() {
         let map = MemoryMap {
             l2_words: PAGE_WORDS + 10,
             ..MemoryMap::default()
         };
         let mut m = Memory::new(map);
+        let base = m.fork();
         m.write(L2_BASE + PAGE_WORDS + 3, 1).unwrap();
-        let dirty = m.take_dirty();
-        assert_eq!(dirty.len(), 1);
-        assert_eq!(m.page_data(dirty[0]).len(), 10);
+        let changed = m.changed_pages(&base);
+        assert_eq!(changed.len(), 1);
+        assert_eq!(m.page_data(changed[0]).len(), 10);
     }
 }

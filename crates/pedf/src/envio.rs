@@ -125,19 +125,16 @@ impl EnvSource {
         fresh
     }
 
-    /// Checkpointable state: the emission cursor plus the generator. The
-    /// recording itself is append-only and shared across timelines.
-    pub fn capture_state(&self) -> EnvSourceState {
-        EnvSourceState {
-            produced: self.produced,
-            gen: self.gen.clone(),
-        }
-    }
-
-    pub fn restore_state(&mut self, s: &EnvSourceState) {
-        self.produced = s.produced;
-        if !self.re_pull {
-            self.gen = s.gen.clone();
+    /// Time travel replaced this source with an earlier fork of itself;
+    /// take over from `abandoned`, the source of the timeline it left,
+    /// what is not history. The recording is append-only and shared by
+    /// all timelines, so the earlier emissions are re-served from it. A
+    /// `re_pull` source also keeps its generator: that environment moved
+    /// on and cannot be rewound.
+    pub(crate) fn inherit(&mut self, abandoned: EnvSource) {
+        self.recorded = abandoned.recorded;
+        if self.re_pull {
+            self.gen = abandoned.gen;
         }
     }
 
@@ -156,21 +153,6 @@ impl EnvSource {
         let elapsed = clock - self.start_at;
         self.produced < elapsed / u64::from(self.period) + 1
     }
-}
-
-/// Checkpointable part of an [`EnvSource`] (see [`EnvSource::capture_state`]).
-#[derive(Debug, Clone)]
-pub struct EnvSourceState {
-    pub produced: u64,
-    pub gen: ValueGen,
-}
-
-/// Checkpointable part of an [`EnvSink`].
-#[derive(Debug, Clone)]
-pub struct EnvSinkState {
-    pub consumed: u64,
-    pub checksum: u64,
-    pub tail: Vec<Word>,
 }
 
 /// Drains tokens from a boundary link, recording a bounded tail of values
@@ -204,20 +186,6 @@ impl EnvSink {
 
     pub fn due(&self, clock: u64) -> bool {
         self.consumed < clock / u64::from(self.period) + 1
-    }
-
-    pub fn capture_state(&self) -> EnvSinkState {
-        EnvSinkState {
-            consumed: self.consumed,
-            checksum: self.checksum,
-            tail: self.tail.clone(),
-        }
-    }
-
-    pub fn restore_state(&mut self, s: &EnvSinkState) {
-        self.consumed = s.consumed;
-        self.checksum = s.checksum;
-        self.tail.clone_from(&s.tail);
     }
 
     pub fn record(&mut self, head_word: Word) {
@@ -290,10 +258,18 @@ mod tests {
         assert!(!s.due(9));
     }
 
+    /// What a time-travel restore does to one source: the live source is
+    /// replaced by a fork of the checkpointed one, which inherits the
+    /// abandoned timeline's recording (and `re_pull` generator).
+    fn rewind(live: &mut EnvSource, checkpoint: &EnvSource) {
+        let abandoned = std::mem::replace(live, checkpoint.clone());
+        live.inherit(abandoned);
+    }
+
     #[test]
     fn source_replays_recorded_values_after_rewind() {
         let mut s = EnvSource::new(ConnId(0), 1, ValueGen::Lcg { state: 7 });
-        let snap = s.capture_state();
+        let snap = s.clone();
         let mut first = Vec::new();
         for _ in 0..5 {
             first.push(s.pull());
@@ -301,7 +277,8 @@ mod tests {
         }
         // Rewind to the start and replay: identical values, even though the
         // generator was advanced past them.
-        s.restore_state(&snap);
+        rewind(&mut s, &snap);
+        assert_eq!(s.produced, 0);
         for v in &first {
             assert_eq!(s.pull(), *v);
             s.produced += 1;
@@ -309,7 +286,7 @@ mod tests {
         // Continuing past the recording stays on the original sequence.
         let a = s.pull();
         s.produced += 1;
-        s.restore_state(&snap);
+        rewind(&mut s, &snap);
         for _ in 0..5 {
             s.pull();
             s.produced += 1;
@@ -320,25 +297,13 @@ mod tests {
     #[test]
     fn re_pull_source_diverges_on_replay() {
         let mut s = EnvSource::new(ConnId(0), 1, ValueGen::Lcg { state: 7 }).with_re_pull();
-        let snap = s.capture_state();
+        let snap = s.clone();
         let first = s.pull();
         s.produced += 1;
-        s.restore_state(&snap); // generator NOT rewound: environment moved on
+        rewind(&mut s, &snap); // generator NOT rewound: environment moved on
+        assert_eq!(s.produced, 0);
         let replayed = s.pull();
         assert_ne!(first, replayed, "re-pull must not reproduce history");
-    }
-
-    #[test]
-    fn sink_state_round_trips() {
-        let mut k = EnvSink::new(ConnId(1), 1);
-        k.record(7);
-        let snap = k.capture_state();
-        k.record(8);
-        k.record(9);
-        k.restore_state(&snap);
-        assert_eq!(k.consumed, 1);
-        assert_eq!(k.checksum, 7);
-        assert_eq!(k.tail, vec![7]);
     }
 
     #[test]

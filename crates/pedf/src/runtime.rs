@@ -26,6 +26,7 @@
 //! points are precisely the events the paper's debugger intercepts.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use debuginfo::{TypeTable, Value, Word};
 use p2012::{BlockReason, PeId, PeState, PeStatus, TrapCtx, TrapHandler, TrapResult};
@@ -99,25 +100,6 @@ pub struct RuntimeStats {
     pub work_invocations: u64,
 }
 
-/// Opaque snapshot of the runtime's dynamic state, for checkpoint/replay.
-/// The static parts (graph, type table, PE↔actor mapping) are excluded:
-/// checkpoints are only taken after boot, when those no longer change.
-#[derive(Debug, Clone)]
-pub struct RuntimeState {
-    actors_rt: Vec<ActorRt>,
-    conns_rt: Vec<ConnRt>,
-    fifos: Vec<FifoState>,
-    modules_rt: Vec<ModuleRt>,
-    booted: bool,
-    console: Vec<String>,
-    events: EventBuffer,
-    protocol_errors: Vec<String>,
-    stats: RuntimeStats,
-    sources: Vec<crate::envio::EnvSourceState>,
-    sinks: Vec<crate::envio::EnvSinkState>,
-    policy: SchedulePolicy,
-}
-
 /// The runtime system. Implements [`TrapHandler`]; owns all dynamic
 /// dataflow state.
 ///
@@ -128,8 +110,9 @@ pub struct RuntimeState {
 pub struct Runtime {
     /// Shared type table (same ids as the image's debug info).
     pub types: TypeTable,
-    /// The registered application graph.
-    pub graph: AppGraph,
+    /// The registered application graph. Fixed once boot registered it,
+    /// so forks share it.
+    pub graph: Arc<AppGraph>,
     actors_rt: Vec<ActorRt>,
     conns_rt: Vec<ConnRt>,
     /// FIFO state per link (parallel to `graph.links`).
@@ -149,7 +132,7 @@ pub struct Runtime {
     pub stats: RuntimeStats,
     /// The scheduler-choice seam: answers every election with code 0 by
     /// default (today's deterministic order) unless overrides are
-    /// installed. Machine state — captured, restored and hashed with the
+    /// installed. Machine state — forked, restored and hashed with the
     /// rest of the runtime so replay from a checkpoint re-consumes the
     /// same decision indices.
     pub policy: SchedulePolicy,
@@ -160,7 +143,7 @@ impl Runtime {
     pub fn new(types: TypeTable) -> Self {
         Runtime {
             types,
-            graph: AppGraph::new(),
+            graph: Arc::default(),
             actors_rt: Vec::new(),
             conns_rt: Vec::new(),
             fifos: Vec::new(),
@@ -205,10 +188,7 @@ impl Runtime {
         let parent = api::decode_opt(*parent1).map(ActorId);
         let pe = api::decode_opt(*pe1).map(|p| PeId(p as u16));
         let work = api::decode_opt(*work1);
-        match self
-            .graph
-            .register_actor(*id, &name, kind, parent, pe, work)
-        {
+        match Arc::make_mut(&mut self.graph).register_actor(*id, &name, kind, parent, pe, work) {
             Ok(aid) => {
                 self.actors_rt.push(ActorRt::default());
                 // May already exist if limits were configured pre-boot.
@@ -243,10 +223,13 @@ impl Runtime {
         if *ty as usize >= self.types.len() {
             return self.fail(format!("register_conn: bad type {ty}"), "bad type id");
         }
-        match self
-            .graph
-            .register_conn(*id, ActorId(*actor), &name, dir, debuginfo::TypeId(*ty))
-        {
+        match Arc::make_mut(&mut self.graph).register_conn(
+            *id,
+            ActorId(*actor),
+            &name,
+            dir,
+            debuginfo::TypeId(*ty),
+        ) {
             Ok(_) => {
                 self.conns_rt.push(ConnRt::default());
                 TrapResult::Done
@@ -262,7 +245,7 @@ impl Runtime {
         let Some(class) = crate::graph::LinkClass::from_code(*class) else {
             return self.fail(format!("register_link: bad class {class}"), "bad class");
         };
-        match self.graph.register_link(
+        match Arc::make_mut(&mut self.graph).register_link(
             *id,
             ConnId(*from),
             ConnId(*to),
@@ -980,46 +963,14 @@ impl Runtime {
 
     // ---- checkpoint/replay -------------------------------------------------
 
-    /// Capture the dynamic runtime state (see [`RuntimeState`]).
-    pub fn capture_state(&self) -> RuntimeState {
-        RuntimeState {
-            actors_rt: self.actors_rt.clone(),
-            conns_rt: self.conns_rt.clone(),
-            fifos: self.fifos.clone(),
-            modules_rt: self.modules_rt.clone(),
-            booted: self.booted,
-            console: self.console.clone(),
-            events: self.events.clone(),
-            protocol_errors: self.protocol_errors.clone(),
-            stats: self.stats,
-            sources: self.sources.iter().map(EnvSource::capture_state).collect(),
-            sinks: self.sinks.iter().map(EnvSink::capture_state).collect(),
-            policy: self.policy.clone(),
+    /// Take over from `abandoned`, the runtime of a timeline time travel
+    /// just left, what is not history: each env source's append-only
+    /// recording and, for `re_pull` test sources, the generator (see
+    /// [`EnvSource::inherit`]).
+    pub(crate) fn inherit_env(&mut self, abandoned: Runtime) {
+        for (src, old) in self.sources.iter_mut().zip(abandoned.sources) {
+            src.inherit(old);
         }
-    }
-
-    /// Restore a captured runtime state. The graph, type table and
-    /// PE↔actor mapping are static after boot and left untouched; env
-    /// sources rewind to their recorded position (unless they are
-    /// `re_pull` test sources, which model an un-rewindable environment).
-    pub fn restore_state(&mut self, s: &RuntimeState) {
-        self.actors_rt.clone_from(&s.actors_rt);
-        self.conns_rt.clone_from(&s.conns_rt);
-        self.fifos.clone_from(&s.fifos);
-        self.modules_rt.clone_from(&s.modules_rt);
-        self.booted = s.booted;
-        self.console.clone_from(&s.console);
-        self.events = s.events.clone();
-        self.protocol_errors.clone_from(&s.protocol_errors);
-        self.stats = s.stats;
-        for (src, st) in self.sources.iter_mut().zip(&s.sources) {
-            src.restore_state(st);
-        }
-        for (snk, st) in self.sinks.iter_mut().zip(&s.sinks) {
-            snk.restore_state(st);
-        }
-        self.policy = s.policy.clone();
-        self.pop_buf.clear();
     }
 
     /// Feed the dynamic runtime state to a hasher (divergence check).

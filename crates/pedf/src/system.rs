@@ -33,6 +33,19 @@ impl System {
         }
     }
 
+    /// Rewind to `snapshot`, an earlier [`System::fork`] of this system:
+    /// become a fork of it again. Only what is not history carries over
+    /// from the timeline being left: the installed memory watches (their
+    /// pending hits are dropped), each env source's append-only recording
+    /// and the generator of `re_pull` test sources. Everything else —
+    /// clock, PEs, DMA, memory, FIFOs, scheduler, sinks — is the
+    /// snapshot's.
+    pub fn restore(&mut self, snapshot: &mut System) {
+        let abandoned = std::mem::replace(self, snapshot.fork());
+        self.platform.mem.inherit_watches(&abandoned.platform.mem);
+        self.runtime.inherit_env(abandoned.runtime);
+    }
+
     /// Advance one cycle.
     pub fn step(&mut self) -> p2012::CycleReport {
         self.platform.step_cycle(&mut self.runtime)

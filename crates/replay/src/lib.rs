@@ -6,31 +6,31 @@
 //! *checkpoint + forward replay* — exactly GDB's record/replay strategy,
 //! and the enabling primitive of multiverse debugging (MIO, PAPERS.md).
 //!
-//! A [`CheckpointManager`] owns a chain of checkpoints:
+//! A [`CheckpointManager`] owns a chain of checkpoints, and a checkpoint
+//! is a copy-on-write [`System::fork`] of the whole machine — the same
+//! snapshot the attach cache and the multiverse explorer take. A fork
+//! costs a pointer per memory page; the pages themselves stay shared
+//! until the live system writes them. So the chain is a chain of forks,
+//! each holding exactly the page versions later execution overwrote.
 //!
-//! * the **baseline** holds a full [`MemImage`] plus the complete machine
-//!   state ([`MachineState`]: every PE's VM state, DMA engines with
-//!   in-flight transfers, the PEDF runtime with FIFO counters, scheduler
-//!   state and env-I/O cursors);
-//! * every later checkpoint stores the machine state plus only the
-//!   **dirty pages** written since the previous boundary (copy-on-write
-//!   keyed by the `MemoryMap` regions — idle banks cost nothing);
-//! * each boundary carries a **chained state hash**: `hash[i] =
-//!   fnv64(hash[i-1], machine, dirty pages)`. A replayed execution
-//!   recomputes the chain and any mismatch is reported as a `REPLAY501`
-//!   finding through the shared `debuginfo::Finding` pipeline — the
-//!   engine doubles as a divergence detector proving the simulator stays
-//!   deterministic.
+//! Each boundary carries a **chained state hash**: `hash[i] =
+//! fnv64(hash[i-1], machine, changed pages)`. The changed pages are the
+//! ones whose buffer differs from the memory at the *last boundary the
+//! live system crossed* — recorded, verified or restored to
+//! ([`p2012::Memory::changed_pages`]). A replayed execution recomputes the
+//! chain and any mismatch is reported as a `REPLAY501` finding through
+//! the shared `debuginfo::Finding` pipeline — the engine doubles as a
+//! divergence detector proving the simulator stays deterministic.
 //!
-//! Restoring to checkpoint `C` rewinds the machine state wholesale and
-//! rewinds memory page-wise: only pages written after `C` are touched,
-//! each taken from the most recent delta at or before `C` (falling back
-//! to the baseline image). Later checkpoints are *kept*, so the replay
-//! that follows verifies the hash chain boundary by boundary.
+//! Restoring to checkpoint `C`, earlier or later than the current cycle,
+//! replaces the live system with a fork of `C` ([`System::restore`]);
+//! only what is not history carries over (installed watches, the
+//! environment's recorded inputs). Later checkpoints are *kept*, so the
+//! replay that follows verifies the hash chain boundary by boundary.
 
-use debuginfo::{Finding, Severity, Word};
-use p2012::{MemImage, PageId};
-use pedf::{RuntimeState, System};
+use debuginfo::{Finding, Severity};
+use p2012::{Memory, PageId};
+use pedf::System;
 
 pub const RULE_DIVERGENCE: &str = "REPLAY501";
 
@@ -100,30 +100,7 @@ impl std::hash::Hasher for Fnv64 {
     }
 }
 
-// ---- machine state ---------------------------------------------------------
-
-/// Everything about the simulated machine except memory *content*:
-/// platform (clock, PEs, DMA, access counters) and the PEDF runtime's
-/// dynamic state (FIFOs, scheduler, env-I/O cursors, counters).
-#[derive(Debug, Clone)]
-pub struct MachineState {
-    pub platform: p2012::PlatformState,
-    pub runtime: RuntimeState,
-}
-
-/// Capture the machine (memory content is tracked separately).
-pub fn capture_machine(sys: &System) -> MachineState {
-    MachineState {
-        platform: sys.platform.capture_state(),
-        runtime: sys.runtime.capture_state(),
-    }
-}
-
-/// Restore a captured machine.
-pub fn restore_machine(sys: &mut System, m: &MachineState) {
-    sys.platform.restore_state(&m.platform);
-    sys.runtime.restore_state(&m.runtime);
-}
+// ---- state hashing ---------------------------------------------------------
 
 fn hash_machine_into(sys: &System, h: &mut Fnv64) {
     sys.platform.hash_state(h);
@@ -132,7 +109,7 @@ fn hash_machine_into(sys: &System, h: &mut Fnv64) {
 
 /// Hash of the complete system state, *including* full memory content.
 /// This is the strong equality used by tests and the CI determinism gate;
-/// boundary hashes inside the chain only cover dirty pages (cheap).
+/// boundary hashes inside the chain only cover changed pages (cheap).
 pub fn full_state_hash(sys: &System) -> u64 {
     use std::hash::Hasher;
     let mut h = Fnv64::new();
@@ -143,18 +120,19 @@ pub fn full_state_hash(sys: &System) -> u64 {
 
 // ---- checkpoints -----------------------------------------------------------
 
-/// One checkpoint: machine state + the pages dirtied since the previous
-/// boundary + the chained hash at this boundary + a client payload (the
-/// debugger stores its session-model snapshot there).
+/// One checkpoint: a fork of the machine, the number of pages changed
+/// since the previous boundary, the chained hash at this boundary and a
+/// client payload (the debugger stores its session-model snapshot there).
 #[derive(Debug, Clone)]
 pub struct Checkpoint<X> {
     pub id: u32,
     pub clock: u64,
     /// Chained boundary hash (see module docs).
     pub hash: u64,
-    pub machine: MachineState,
-    /// Sorted by [`PageId`]; content as of `clock`.
-    pub pages: Vec<(PageId, Vec<Word>)>,
+    /// The machine at `clock`. Never stepped: restores fork it.
+    pub sys: System,
+    /// Pages changed since the previous checkpoint.
+    pub pages: usize,
     pub payload: X,
 }
 
@@ -172,8 +150,12 @@ pub struct CheckpointInfo {
 pub struct CheckpointManager<X> {
     /// Auto-checkpoint interval in cycles.
     pub interval: u64,
-    base: Option<MemImage>,
     checkpoints: Vec<Checkpoint<X>>,
+    /// Memory at the last boundary the live system crossed, whether by
+    /// recording, verifying or restoring it: the reference the next
+    /// boundary's changed pages are taken against. `None` until the
+    /// baseline exists.
+    crossed: Option<Memory>,
     findings: Vec<Finding>,
     next_id: u32,
 }
@@ -183,34 +165,40 @@ impl<X> CheckpointManager<X> {
         assert!(interval >= 1, "checkpoint interval must be positive");
         CheckpointManager {
             interval,
-            base: None,
             checkpoints: Vec::new(),
+            crossed: None,
             findings: Vec::new(),
             next_id: 0,
         }
     }
 
     pub fn is_initialized(&self) -> bool {
-        self.base.is_some()
+        self.crossed.is_some()
     }
 
-    /// Establish the baseline: full memory image, full-memory hash, reset
-    /// dirty tracking. Becomes checkpoint 0 (with no delta pages).
+    /// Establish the baseline, hashed over the full memory. Becomes
+    /// checkpoint 0 (with no changed pages).
     pub fn baseline(&mut self, sys: &mut System, payload: X) -> u32 {
         use std::hash::Hasher;
-        let _ = sys.platform.mem.take_dirty();
         let mut h = Fnv64::new();
         hash_machine_into(sys, &mut h);
         sys.platform.mem.hash_full(&mut h);
+        self.push(sys, h.finish(), 0, payload)
+    }
+
+    /// Append a fork of `sys` to the chain; it becomes the reference for
+    /// the next boundary.
+    fn push(&mut self, sys: &mut System, hash: u64, pages: usize, payload: X) -> u32 {
         let id = self.next_id;
         self.next_id += 1;
-        self.base = Some(sys.platform.mem.snapshot_full());
+        let snapshot = sys.fork();
+        self.crossed = Some(snapshot.platform.mem.clone());
         self.checkpoints.push(Checkpoint {
             id,
             clock: sys.clock(),
-            hash: h.finish(),
-            machine: capture_machine(sys),
-            pages: Vec::new(),
+            hash,
+            sys: snapshot,
+            pages,
             payload,
         });
         id
@@ -220,7 +208,7 @@ impl<X> CheckpointManager<X> {
         self.checkpoints.iter().map(|c| CheckpointInfo {
             id: c.id,
             clock: c.clock,
-            pages: c.pages.len(),
+            pages: c.pages,
             hash: c.hash,
         })
     }
@@ -265,7 +253,13 @@ impl<X> CheckpointManager<X> {
             .map(|c| c.id)
     }
 
-    /// The chained hash over machine state + a dirty-page set.
+    /// The pages `sys` changed since the last boundary it crossed.
+    fn changed_pages(&self, sys: &System) -> Vec<PageId> {
+        let crossed = self.crossed.as_ref().expect("baseline() first");
+        sys.platform.mem.changed_pages(crossed)
+    }
+
+    /// The chained hash over machine state + a changed-page set.
     fn boundary_hash(prev: u64, sys: &System, pages: &[PageId]) -> u64 {
         use std::hash::Hasher;
         let mut h = Fnv64::chained(prev);
@@ -281,44 +275,30 @@ impl<X> CheckpointManager<X> {
 
     /// Record a new checkpoint at the current clock (first-run ground).
     pub fn checkpoint_at(&mut self, sys: &mut System, payload: X) -> u32 {
-        debug_assert!(self.is_initialized(), "baseline() first");
-        let dirty = sys.platform.mem.take_dirty();
+        let changed = self.changed_pages(sys);
         let prev = self.checkpoints.last().map_or(0, |c| c.hash);
-        let hash = Self::boundary_hash(prev, sys, &dirty);
-        let pages = dirty
-            .into_iter()
-            .map(|p| (p, sys.platform.mem.page_data(p).to_vec()))
-            .collect();
-        let id = self.next_id;
-        self.next_id += 1;
-        self.checkpoints.push(Checkpoint {
-            id,
-            clock: sys.clock(),
-            hash,
-            machine: capture_machine(sys),
-            pages,
-            payload,
-        });
-        id
+        let hash = Self::boundary_hash(prev, sys, &changed);
+        self.push(sys, hash, changed.len(), payload)
     }
 
     /// A replayed execution reached a recorded boundary: recompute the
-    /// chained hash from the replay's own dirty set and compare. On
+    /// chained hash from the replay's own changed pages and compare. On
     /// mismatch, record a `REPLAY501` finding naming the diverging cycle.
-    /// Either way the dirty tracking resets, exactly as the original
+    /// Either way the boundary counts as crossed, exactly as the original
     /// checkpoint creation did.
     pub fn verify_boundary(&mut self, sys: &mut System, clock: u64) {
         let Ok(idx) = self.checkpoints.binary_search_by_key(&clock, |c| c.clock) else {
             return;
         };
-        let dirty = sys.platform.mem.take_dirty();
+        let changed = self.changed_pages(sys);
+        self.crossed = Some(sys.platform.mem.fork());
         if idx == 0 {
             // Baseline boundary: replays never land here (restores target
             // it directly), so there is nothing to verify.
             return;
         }
         let prev = self.checkpoints[idx - 1].hash;
-        let replay_hash = Self::boundary_hash(prev, sys, &dirty);
+        let replay_hash = Self::boundary_hash(prev, sys, &changed);
         let expect = self.checkpoints[idx].hash;
         if replay_hash != expect {
             self.findings.push(Finding::new(
@@ -336,49 +316,21 @@ impl<X> CheckpointManager<X> {
         }
     }
 
-    /// Rewind the system to checkpoint `id`. Machine state is restored
-    /// wholesale; memory is rewound page-wise (only pages written after
-    /// the checkpoint are touched). Later checkpoints are kept so the
-    /// subsequent replay verifies against them.
-    pub fn restore(&self, sys: &mut System, id: u32) -> Option<&Checkpoint<X>> {
-        let pos = self.checkpoints.iter().position(|c| c.id == id)?;
-        let cp = &self.checkpoints[pos];
-        let base = self.base.as_ref()?;
-
-        // Pages possibly newer than the checkpoint: everything dirtied
-        // since the last boundary, plus every page in later checkpoints.
-        let mut affected = sys.platform.mem.take_dirty();
-        for later in &self.checkpoints[pos + 1..] {
-            affected.extend(later.pages.iter().map(|(p, _)| *p));
-        }
-        affected.sort_unstable();
-        affected.dedup();
-
-        for page in affected {
-            // Content at cp.clock: the most recent delta at or before the
-            // checkpoint, falling back to the baseline image.
-            let mut data: Option<&[Word]> = None;
-            for earlier in self.checkpoints[..=pos].iter().rev() {
-                if let Ok(i) = earlier.pages.binary_search_by_key(&page, |(p, _)| *p) {
-                    data = Some(&earlier.pages[i].1);
-                    break;
-                }
-            }
-            let data = data.unwrap_or_else(|| base.page_data(page));
-            sys.platform.mem.restore_page(page, data);
-        }
-
-        restore_machine(sys, &cp.machine);
-        // Restore writes bypass dirty marking, but be explicit: the replay
-        // must regenerate the same dirty sets the original run did.
-        debug_assert!(sys.platform.mem.take_dirty().is_empty());
+    /// Rewind (or fast-forward) the system to checkpoint `id`: the live
+    /// system becomes a fork of it (see [`System::restore`]). Later
+    /// checkpoints are kept so the subsequent replay verifies against
+    /// them.
+    pub fn restore(&mut self, sys: &mut System, id: u32) -> Option<&Checkpoint<X>> {
+        let cp = self.checkpoints.iter_mut().find(|c| c.id == id)?;
+        sys.restore(&mut cp.sys);
+        self.crossed = Some(cp.sys.platform.mem.clone());
         Some(cp)
     }
 
     /// Drop every checkpoint after `clock`: the debugger mutated history
     /// (token injection/alteration), so later boundaries describe a
     /// timeline that no longer exists. The baseline is always retained —
-    /// without it no memory restore is possible.
+    /// restores need a checkpoint at or before every cycle.
     pub fn invalidate_after(&mut self, clock: u64) {
         let mut first = true;
         self.checkpoints.retain(|c| {
@@ -402,7 +354,7 @@ impl<X> CheckpointManager<X> {
 mod tests {
     use super::*;
     use debuginfo::TypeTable;
-    use p2012::memory::L2_BASE;
+    use p2012::memory::{L2_BASE, L3_BASE};
 
     #[test]
     fn divergence_rule_is_registered() {
@@ -468,6 +420,57 @@ mod tests {
         mgr.restore(&mut sys, base).unwrap();
         assert_eq!(sys.clock(), 0);
         assert_eq!(full_state_hash(&sys), h0);
+    }
+
+    #[test]
+    fn restore_forward_lands_on_the_later_checkpoint() {
+        let mut sys = counter_system();
+        let mut mgr: CheckpointManager<()> = CheckpointManager::new(100);
+        mgr.baseline(&mut sys, ());
+        sys.run(100);
+        let cp1 = mgr.checkpoint_at(&mut sys, ());
+        // A page only the stretch before cp2 writes.
+        sys.platform.mem.poke(L3_BASE, 77).unwrap();
+        sys.run(100);
+        let cp2 = mgr.checkpoint_at(&mut sys, ());
+        let at_cp2 = full_state_hash(&sys);
+        sys.run(50);
+
+        mgr.restore(&mut sys, cp1).unwrap();
+        sys.run(10);
+        mgr.restore(&mut sys, cp2).unwrap();
+        assert_eq!(sys.clock(), 200);
+        assert_eq!(sys.platform.mem.peek(L3_BASE).unwrap(), 77);
+        assert_eq!(full_state_hash(&sys), at_cp2);
+    }
+
+    #[test]
+    fn replays_across_two_boundaries_verify_clean() {
+        // The changed pages at a boundary are relative to the last
+        // boundary the replay crossed, not the last one recorded: a page
+        // written only before cp1 must not count again at cp2.
+        let mut sys = counter_system();
+        let mut mgr: CheckpointManager<()> = CheckpointManager::new(100);
+        let base = mgr.baseline(&mut sys, ());
+        sys.run(50);
+        sys.platform.mem.poke(L3_BASE, 5).unwrap();
+        sys.run(50);
+        mgr.checkpoint_at(&mut sys, ());
+        sys.run(100);
+        mgr.checkpoint_at(&mut sys, ());
+
+        mgr.restore(&mut sys, base).unwrap();
+        sys.run(50);
+        sys.platform.mem.poke(L3_BASE, 5).unwrap();
+        sys.run(50);
+        mgr.verify_boundary(&mut sys, 100);
+        sys.run(100);
+        mgr.verify_boundary(&mut sys, 200);
+        assert!(mgr.findings().is_empty(), "{:?}", mgr.findings());
+        assert_eq!(
+            mgr.checkpoints().map(|c| c.pages).collect::<Vec<_>>(),
+            [0, 3, 2]
+        );
     }
 
     #[test]

@@ -49,8 +49,8 @@ fn main() {
         .add_sink(EnvSink::new(app.boundary_out["frame_out"], 1))
         .unwrap();
 
-    // Start recording: full baseline now, a delta checkpoint every 500
-    // cycles from here on.
+    // Start recording: baseline now, a checkpoint (a copy-on-write fork
+    // of the machine) every 500 cycles from here on.
     println!("(gdb) record");
     s.enable_time_travel(500);
     println!("[Recording enabled, checkpoint every 500 cycles]");

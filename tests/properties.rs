@@ -219,6 +219,13 @@ proptest! {
         }
         prop_assert_eq!(s.sys.clock(), target);
         prop_assert_eq!(s.state_hash(), hash_n, "replay must be bit-exact");
+
+        // The same two legs through `goto_cycle`: back k, then forward to
+        // `target`, which may restore a checkpoint later than `target - k`.
+        s.goto_cycle(target - k).unwrap();
+        s.goto_cycle(target).unwrap();
+        prop_assert_eq!(s.sys.clock(), target);
+        prop_assert_eq!(s.state_hash(), hash_n, "goto must be bit-exact");
         prop_assert!(
             s.replay_findings().is_empty(),
             "{:?}", s.replay_findings()

@@ -105,6 +105,83 @@ fn goto_cycle_lands_exactly_and_is_deterministic() {
     assert!(s.replay_findings().is_empty(), "{:?}", s.replay_findings());
 }
 
+/// Restoring to a checkpoint *later* than the current cycle must land on
+/// the machine that ran there. A restore that only rewinds what the
+/// current timeline wrote leaves behind every page the recording wrote
+/// between the two checkpoints and the replay has not reached yet.
+#[test]
+fn forward_goto_lands_on_the_recorded_state() {
+    for (interval, back, forward) in [(1_000u64, 1_297u64, 2_242u64), (300, 1_297, 2_758)] {
+        let mut fresh = session_with(Bug::None, 6, 0xbeef);
+        while fresh.sys.clock() < forward {
+            fresh.run(forward - fresh.sys.clock());
+        }
+
+        let mut s = session_with(Bug::None, 6, 0xbeef);
+        s.enable_time_travel(interval);
+        assert_eq!(run_to_terminal(&mut s), Stop::Quiescent);
+        assert_eq!(s.sys.clock(), 2_930);
+        s.goto_cycle(back).unwrap();
+        s.goto_cycle(forward).unwrap();
+        assert_eq!(s.sys.clock(), forward);
+        assert_eq!(
+            s.state_hash(),
+            fresh.state_hash(),
+            "interval {interval}: goto {back} then {forward}"
+        );
+        assert!(s.replay_findings().is_empty(), "{:?}", s.replay_findings());
+    }
+}
+
+/// `System::restore` at the machine level: env sinks rewind with the
+/// rest of the machine, env sources re-serve their recorded inputs, and
+/// installed watches survive while their pending hits are dropped.
+#[test]
+fn system_restore_rewinds_sinks_and_keeps_env_recordings_and_watches() {
+    let (mut sys, app) = build_decoder(Bug::None, 6, PlatformConfig::default()).unwrap();
+    sys.boot(app.boot_entry).unwrap();
+    h264_pipeline::attach_env(&mut sys, &app, 6, 0xbeef).unwrap();
+    let frame = app.boundary_out["frame_out"];
+    let bits = app.boundary_in["bits_in"];
+    sys.run(3); // inside the env's first few emissions
+    let sink_at = |sys: &pedf::System| {
+        let k = sys.runtime.sink_for(frame).unwrap();
+        (k.consumed, k.checksum, k.tail.clone())
+    };
+    let mut snapshot = sys.fork();
+    let (clock0, sink0) = (sys.clock(), sink_at(&sys));
+    let produced0 = sys.runtime.source_for(bits).unwrap().produced;
+
+    assert!(sys.run_to_quiescence(1_000_000));
+    let (end_clock, end_sink) = (sys.clock(), sink_at(&sys));
+    let recorded = sys.runtime.source_for(bits).unwrap().recorded.clone();
+    assert!(produced0 > 0 && recorded.len() as u64 > produced0);
+    assert!(end_sink.0 > sink0.0);
+    sys.platform.mem.add_watch(
+        7,
+        p2012::memory::L2_BASE,
+        p2012::memory::L2_BASE,
+        p2012::WatchKind::Access,
+    );
+    sys.platform.mem.read(p2012::memory::L2_BASE).unwrap();
+    assert!(sys.platform.mem.has_hits());
+
+    sys.restore(&mut snapshot);
+    assert_eq!(sys.clock(), clock0);
+    assert_eq!(sink_at(&sys), sink0, "sink state rewinds");
+    let src = sys.runtime.source_for(bits).unwrap();
+    assert_eq!(src.produced, produced0, "emission cursor rewinds");
+    assert_eq!(src.recorded, recorded, "the recording is not history");
+    assert!(!sys.platform.mem.has_hits(), "pending hits are dropped");
+    sys.platform.mem.read(p2012::memory::L2_BASE).unwrap();
+    assert!(sys.platform.mem.has_hits(), "the watch survived");
+    sys.platform.mem.take_hits();
+
+    // Replaying re-serves the recorded inputs: same end state.
+    assert!(sys.run_to_quiescence(1_000_000));
+    assert_eq!((sys.clock(), sink_at(&sys)), (end_clock, end_sink));
+}
+
 // ---- the §III deadlock, backwards -------------------------------------------
 
 #[test]
@@ -294,4 +371,45 @@ fn re_pulled_env_source_is_caught_as_replay501() {
         "{}",
         findings[0].message
     );
+}
+
+// ---- byte identity of the checkpoint chain -------------------------------------
+
+/// `info checkpoints` plus the final state hash of the clean 6-macroblock
+/// recording, pinned at two intervals. The text predates checkpoints
+/// becoming `System::fork`s (it was generated with per-store dirty-page
+/// tracking), so it checks that changed-page sets and boundary hashes
+/// are the ones that tracking produced.
+#[test]
+fn checkpoint_chain_matches_the_golden() {
+    const GOLDEN: &str = "\
+interval 300
+Id   Cycle        Pages  Hash
+0    1212         0      0x7670588dbce56d8c
+1    1512         4      0x24c57f76a07ae79e
+2    1812         4      0x8dd324e65644c9ad
+3    2112         4      0xb364ff3e2152250a
+4    2412         4      0x875353339eeba371
+5    2712         4      0x3565d04abbb70ed8
+end cycle 2930 state_hash 0x01f94aa1fa93cf87
+interval 1000
+Id   Cycle        Pages  Hash
+0    1212         0      0x7670588dbce56d8c
+1    2212         4      0x1a02ab2b3684f3d7
+end cycle 2930 state_hash 0x01f94aa1fa93cf87
+";
+    let mut got = String::new();
+    for interval in [300u64, 1_000] {
+        let mut s = session_with(Bug::None, 6, 0xbeef);
+        s.enable_time_travel(interval);
+        assert_eq!(run_to_terminal(&mut s), Stop::Quiescent);
+        got.push_str(&format!("interval {interval}\n"));
+        got.push_str(&s.checkpoints_info().unwrap());
+        got.push_str(&format!(
+            "end cycle {} state_hash {:#018x}\n",
+            s.sys.clock(),
+            s.state_hash()
+        ));
+    }
+    assert_eq!(got, GOLDEN);
 }
