@@ -509,8 +509,9 @@ fn main() {
     }
     println!(
         "\nShape check (paper §V): all-breakpoints is the most expensive \
-         mode;\nthe mitigations recover most of the gap while keeping the \
-         control\nbreakpoints (option 1) or full visibility (cooperation)."
+         mode;\nthe mitigations recover part of the gap while keeping the \
+         control\nbreakpoints (option 1) or full visibility (cooperation). \
+         Only the run is timed."
     );
 
     println!();

@@ -477,8 +477,8 @@ impl Capture {
         }
     }
 
-    /// Drain events captured this cycle.
-    pub fn drain(&mut self) -> Vec<DfEvent> {
-        std::mem::take(&mut self.out)
+    /// Drain events captured this cycle (the buffer is kept for the next).
+    pub fn drain(&mut self) -> std::vec::Drain<'_, DfEvent> {
+        self.out.drain(..)
     }
 }

@@ -175,6 +175,9 @@ pub struct Session {
     /// Result of the most recent `explore`, kept for the server's
     /// per-session multiverse counters and for witness reuse.
     pub last_explore: Option<multiverse::ExploreReport>,
+    /// Scratch for the dataflow stops one cycle raises, kept so the run
+    /// loop does not allocate per cycle. Empty between cycles.
+    df_stops: Vec<DfStop>,
 }
 
 impl Session {
@@ -217,6 +220,7 @@ impl Session {
             last_sched: None,
             tt: None,
             last_explore: None,
+            df_stops: Vec::new(),
         }
     }
 
@@ -256,6 +260,7 @@ impl Session {
             last_sched: self.last_sched.clone(),
             tt: self.tt.clone(),
             last_explore: self.last_explore.clone(),
+            df_stops: Vec::new(),
         }
     }
 
@@ -512,9 +517,8 @@ impl Session {
         // 1. Runtime event stream: env I/O always; everything in
         //    cooperation mode.
         let coop = self.capture.mode == CaptureMode::RuntimeEvents;
-        let evs = self.sys.runtime.events.drain();
-        let mut stops = Vec::new();
-        for ev in evs {
+        let mut stops = std::mem::take(&mut self.df_stops);
+        for ev in self.sys.runtime.events.drain() {
             let mapped = match ev {
                 RuntimeEvent::TokenPushed { conn, value, .. } => Some(DfEvent::TokenPushed {
                     conn,
@@ -580,9 +584,8 @@ impl Session {
             self.graph_learned = true;
         }
         // Step-both second leg: arm the receive end when the send fires.
-        for s in &stops {
-            self.stop_queue.push_back(Stop::Dataflow(s.clone()));
-        }
+        self.stop_queue.extend(stops.drain(..).map(Stop::Dataflow));
+        self.df_stops = stops;
     }
 
     // ---- breakpoints -------------------------------------------------------

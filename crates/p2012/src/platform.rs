@@ -10,6 +10,13 @@
 //! SystemC functional simulator's cooperative user-level threads. The same
 //! program and inputs therefore always produce the same interleaving, which
 //! is what makes the paper's breakpoint-heavy debugging non-intrusive.
+//!
+//! A blocked PE is offered its pending trap at its turn in every cycle, but
+//! the loop is event-driven: when the trap blocked, the platform recorded
+//! the handler's [`TrapHandler::wait_key`], and while that key is unchanged
+//! the offer is counted without calling the handler. A changed key re-offers
+//! the trap in the same PE slot of the same cycle as polling would, so the
+//! interleaving is the same with or without keys.
 
 use std::sync::Arc;
 
@@ -102,9 +109,14 @@ impl Default for PlatformConfig {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CycleReport {
     pub executed: u32,
+    /// Trap offers: first offers plus every cycle a blocked PE spends
+    /// waiting on its pending trap.
     pub traps: u32,
     pub completions: u32,
     pub faults: u32,
+    /// Trap offers that called the handler; the rest were skipped because
+    /// the blocked trap's wait key had not changed.
+    pub dispatches: u32,
 }
 
 impl CycleReport {
@@ -113,6 +125,7 @@ impl CycleReport {
         self.traps += other.traps;
         self.completions += other.completions;
         self.faults += other.faults;
+        self.dispatches += other.dispatches;
     }
 }
 
@@ -127,6 +140,9 @@ pub struct Platform {
     /// The linked image: immutable once loaded, so forks share it.
     pub program: Arc<Program>,
     pub clock: u64,
+    /// Scratch list of the DMA engines in flight this cycle, kept so the
+    /// cycle loop does not allocate.
+    dma_active: Vec<usize>,
 }
 
 impl Platform {
@@ -168,6 +184,7 @@ impl Platform {
             dma,
             program: Arc::default(),
             clock: 0,
+            dma_active: Vec::new(),
             config,
         }
     }
@@ -227,9 +244,9 @@ impl Platform {
         // first (rotation over the active set). The default answer keeps
         // the historical index order, and engines with nothing in flight
         // never observe the rotation (their step is a no-op).
-        let active: Vec<usize> = (0..self.dma.len())
-            .filter(|&i| self.dma[i].in_flight() > 0)
-            .collect();
+        let mut active = std::mem::take(&mut self.dma_active);
+        active.clear();
+        active.extend((0..self.dma.len()).filter(|&i| self.dma[i].in_flight() > 0));
         if active.len() >= 2 {
             let r =
                 handler.choose_dma_order(active.len() as u32, self.clock) as usize % active.len();
@@ -240,35 +257,40 @@ impl Platform {
         } else if let Some(&i) = active.first() {
             self.dma[i].step(&mut self.mem);
         }
+        self.dma_active = active;
 
         for i in 0..self.pes.len() {
-            let mut pe = std::mem::take(&mut self.pes[i]);
-            let id = PeId(i as u16);
-            match pe.status {
-                PeStatus::Blocked(_) => {
-                    if let Some((tid, argc, retc)) = pe.pending_trap(&self.program) {
+            let pe = &mut self.pes[i];
+            let trap = match pe.status {
+                PeStatus::Blocked(reason) => match pe.pending_trap(&self.program) {
+                    Some(trap) => {
                         report.traps += 1;
-                        self.dispatch_trap(handler, id, &mut pe, tid, argc, retc);
-                    } else {
+                        // Parked: nothing the blocked trap reads has changed
+                        // since it blocked, so the handler would block it
+                        // again.
+                        if pe.wait_key.is_some() && pe.wait_key == handler.wait_key(reason) {
+                            continue;
+                        }
+                        trap
+                    }
+                    None => {
                         // Blocked without a pending trap cannot happen for
                         // well-formed runtimes; fault loudly instead of
                         // spinning forever.
                         pe.status =
                             PeStatus::Faulted(VmFault::Runtime("blocked without pending trap"));
                         report.faults += 1;
+                        continue;
                     }
-                }
+                },
                 _ => match pe.step(&self.program, &mut self.mem) {
-                    StepEvent::TrapPending {
-                        id: tid,
-                        argc,
-                        retc,
-                    } => {
+                    StepEvent::TrapPending { id, argc, retc } => {
                         report.traps += 1;
-                        self.dispatch_trap(handler, id, &mut pe, tid, argc, retc);
+                        (id, argc, retc)
                     }
                     StepEvent::TaskComplete => {
                         report.completions += 1;
+                        let mut pe = std::mem::take(&mut self.pes[i]);
                         handler.on_task_complete(
                             &mut TrapCtx {
                                 mem: &mut self.mem,
@@ -276,33 +298,35 @@ impl Platform {
                                 pes: &mut self.pes,
                                 clock: self.clock,
                             },
-                            id,
+                            PeId(i as u16),
                             &mut pe,
                         );
+                        self.pes[i] = pe;
+                        continue;
                     }
                     StepEvent::Executed | StepEvent::Called { .. } | StepEvent::Returned { .. } => {
-                        report.executed += 1
+                        report.executed += 1;
+                        continue;
                     }
-                    StepEvent::Fault(_) => report.faults += 1,
-                    StepEvent::Stalled | StepEvent::Idle | StepEvent::Halted => {}
+                    StepEvent::Fault(_) => {
+                        report.faults += 1;
+                        continue;
+                    }
+                    StepEvent::Stalled | StepEvent::Idle | StepEvent::Halted => continue,
                 },
-            }
-            self.pes[i] = pe;
+            };
+            report.dispatches += 1;
+            self.dispatch_trap(handler, i, trap);
         }
         self.clock += 1;
         report
     }
 
-    fn dispatch_trap(
-        &mut self,
-        handler: &mut dyn TrapHandler,
-        id: PeId,
-        pe: &mut PeState,
-        trap_id: u16,
-        argc: u8,
-        retc: u8,
-    ) {
+    /// Offer PE `i`'s pending trap `(id, argc, retc)` to the handler.
+    fn dispatch_trap(&mut self, handler: &mut dyn TrapHandler, i: usize, trap: (u16, u8, u8)) {
+        let (trap_id, argc, retc) = trap;
         debug_assert!(argc as usize <= 8, "trap arity limited to 8");
+        let mut pe = std::mem::take(&mut self.pes[i]);
         let mut buf = [0 as Word; 8];
         let args = pe.trap_args(argc);
         buf[..args.len()].copy_from_slice(args);
@@ -313,8 +337,8 @@ impl Platform {
                 pes: &mut self.pes,
                 clock: self.clock,
             },
-            id,
-            pe,
+            PeId(i as u16),
+            &mut pe,
             trap_id,
             &buf[..argc as usize],
         );
@@ -327,11 +351,15 @@ impl Platform {
                 debug_assert_eq!(retc, 1, "trap {trap_id} returns no value");
                 pe.complete_trap(argc, &[w]);
             }
-            TrapResult::Block(reason) => pe.block(reason),
+            TrapResult::Block(reason) => {
+                pe.block(reason);
+                pe.wait_key = handler.wait_key(reason);
+            }
             TrapResult::Fault(msg) => {
                 pe.status = PeStatus::Faulted(VmFault::Runtime(msg));
             }
         }
+        self.pes[i] = pe;
     }
 
     /// Run for `cycles` cycles (fast path, no per-cycle inspection).
@@ -384,6 +412,7 @@ impl Platform {
             dma: self.dma.clone(),
             program: self.program.clone(),
             clock: self.clock,
+            dma_active: Vec::new(),
         }
     }
 
@@ -543,6 +572,75 @@ mod tests {
         assert_eq!(h.served, 1);
         assert_eq!(p.mem.peek(L2_BASE).unwrap(), 10);
         assert!(matches!(p.pes[0].status, PeStatus::Halted));
+    }
+
+    /// Blocks trap 42 until opened; its wait key is `stamp`.
+    struct Gate {
+        open: bool,
+        stamp: u64,
+        calls: u32,
+    }
+
+    impl TrapHandler for Gate {
+        fn trap(
+            &mut self,
+            _ctx: &mut TrapCtx<'_>,
+            _pe: PeId,
+            _current: &mut PeState,
+            _id: u16,
+            args: &[Word],
+        ) -> TrapResult {
+            self.calls += 1;
+            if self.open {
+                TrapResult::Done1(args[0] * 2)
+            } else {
+                TrapResult::Block(BlockReason::Other("gate"))
+            }
+        }
+
+        fn wait_key(&self, _reason: BlockReason) -> Option<u64> {
+            Some(self.stamp)
+        }
+    }
+
+    #[test]
+    fn parked_trap_is_offered_to_the_handler_only_when_its_key_changes() {
+        let mut b = ProgramBuilder::new();
+        let entry = b.begin_func(0);
+        b.emit(Insn::Enter(0));
+        b.emit(Insn::Const(L2_BASE));
+        b.emit(Insn::Const(5));
+        b.emit(Insn::Trap {
+            id: 42,
+            argc: 1,
+            retc: 1,
+        });
+        b.emit(Insn::StoreMem);
+        b.emit(Insn::Halt);
+        let mut p = Platform::new(PlatformConfig::default());
+        p.load(b.finish());
+        p.invoke(PeId(0), entry, &[]);
+        let mut h = Gate {
+            open: false,
+            stamp: 0,
+            calls: 0,
+        };
+        // Enter, Const, Const, then the first offer blocks; six parked
+        // offers follow without a handler call.
+        let r = p.run(&mut h, 10);
+        assert_eq!((r.traps, r.dispatches, h.calls), (7, 1, 1));
+        // Opening the gate alone changes nothing the key stamps.
+        h.open = true;
+        let r = p.run(&mut h, 3);
+        assert_eq!((r.traps, r.dispatches, h.calls), (3, 0, 1));
+        assert!(matches!(p.pes[0].status, PeStatus::Blocked(_)));
+        // A new stamp re-offers the trap in the very next cycle.
+        h.stamp = 1;
+        let r = p.step_cycle(&mut h);
+        assert_eq!((r.traps, r.dispatches, h.calls), (1, 1, 2));
+        assert_eq!(p.pes[0].status, PeStatus::Running);
+        p.run(&mut h, 2);
+        assert_eq!(p.mem.peek(L2_BASE).unwrap(), 10);
     }
 
     #[test]

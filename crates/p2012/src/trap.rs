@@ -26,8 +26,10 @@ pub enum TrapResult {
     Done,
     /// Commit with one result word (retc must be 1).
     Done1(Word),
-    /// The condition is not satisfiable this cycle; park the PE. The same
-    /// trap is re-presented every subsequent cycle until it completes.
+    /// The condition is not satisfiable this cycle; park the PE. The trap
+    /// stays pending and is offered again at the PE's turn in every later
+    /// cycle. The handler itself is consulted again only once the block's
+    /// [`TrapHandler::wait_key`] changes (or always, when it has none).
     Block(BlockReason),
     /// The runtime detected a protocol violation (e.g. unknown trap id);
     /// the PE faults and the debugger reports it.
@@ -96,6 +98,21 @@ pub trait TrapHandler {
     fn choose_dma_order(&mut self, n_active: u32, clock: u64) -> u32 {
         let _ = (n_active, clock);
         0
+    }
+
+    /// A stamp of every piece of handler state a trap blocked on `reason`
+    /// reads to decide that it is still blocked. The platform records it
+    /// when the trap blocks and skips the handler on later offers while the
+    /// stamp is unchanged: the offer still counts in
+    /// [`crate::CycleReport::traps`], but the handler is not called.
+    ///
+    /// Soundness rule: every state change such a trap reads must change
+    /// the stamp. A stamp that changes without need only costs a redundant
+    /// offer. `None` (the default) means "no stamp": the trap is offered
+    /// to the handler every cycle.
+    fn wait_key(&self, reason: BlockReason) -> Option<u64> {
+        let _ = reason;
+        None
     }
 }
 

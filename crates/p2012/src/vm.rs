@@ -9,10 +9,11 @@
 //! Traps are two-phase: [`PeState::step`] reports a pending trap without
 //! consuming its operands, the platform consults the runtime handler, and
 //! either [`PeState::complete_trap`] commits the instruction or
-//! [`PeState::block`] parks the PE. A blocked PE re-presents the same trap
-//! every cycle until the handler lets it through — this is how token-starved
-//! filters wait "for more data", the state §III requires the debugger to be
-//! able to display per actor.
+//! [`PeState::block`] parks the PE. A blocked PE keeps the same trap pending
+//! until the handler lets it through — this is how token-starved filters
+//! wait "for more data", the state §III requires the debugger to be able to
+//! display per actor. When the handler is consulted again is the platform's
+//! business (see [`crate::TrapHandler::wait_key`]).
 
 use debuginfo::{CodeAddr, Word};
 
@@ -122,6 +123,35 @@ pub struct Frame {
     pub stack: Vec<Word>,
 }
 
+/// Frames popped by `Ret` (or task completion), kept cleared for the next
+/// `Call` or invocation so the call path does not allocate. A cache, not
+/// machine state: clones start empty, so forks and checkpoints do not copy
+/// it, and it is never hashed.
+#[derive(Debug, Default)]
+struct FramePool(Vec<Frame>);
+
+impl Clone for FramePool {
+    fn clone(&self) -> Self {
+        FramePool::default()
+    }
+}
+
+impl FramePool {
+    /// A cleared frame for `func`, returning to `ret_addr`.
+    fn take(&mut self, func: CodeAddr, ret_addr: CodeAddr) -> Frame {
+        let mut f = self.0.pop().unwrap_or_default();
+        f.func = func;
+        f.ret_addr = ret_addr;
+        f
+    }
+
+    fn give(&mut self, mut f: Frame) {
+        f.locals.clear();
+        f.stack.clear();
+        self.0.push(f);
+    }
+}
+
 /// Scheduling status of a PE.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PeStatus {
@@ -180,6 +210,10 @@ pub struct PeState {
     /// free-running filter is re-invoked within a single cycle and never
     /// observably idles, so a level-triggered check would miss entries.
     pub invocations: u64,
+    /// The handler's wait key recorded when the pending trap last blocked
+    /// (see [`crate::TrapHandler::wait_key`]). A cache: never hashed.
+    pub(crate) wait_key: Option<u64>,
+    spare: FramePool,
 }
 
 impl PeState {
@@ -194,14 +228,11 @@ impl PeState {
             "invoke on non-idle PE (status {:?})",
             self.status
         );
-        self.frames.push(Frame {
-            func: addr,
-            // Top-level frames have nowhere to return; `Ret` from depth 1
-            // yields TaskComplete instead of using this.
-            ret_addr: 0,
-            locals: args.to_vec(),
-            stack: Vec::new(),
-        });
+        // Top-level frames have nowhere to return; `Ret` from depth 1
+        // yields TaskComplete instead of using the return address.
+        let mut frame = self.spare.take(addr, 0);
+        frame.locals.extend_from_slice(args);
+        self.frames.push(frame);
         self.pc = addr;
         self.status = PeStatus::Running;
         self.invocations += 1;
@@ -255,11 +286,15 @@ impl PeState {
         frame.stack.extend_from_slice(results);
         self.pc += 1;
         self.status = PeStatus::Running;
+        self.wait_key = None;
     }
 
-    /// Park the PE on a blocking condition; the trap stays pending.
+    /// Park the PE on a blocking condition; the trap stays pending. The
+    /// wait key is cleared: only the platform, which knows the handler,
+    /// records one.
     pub fn block(&mut self, reason: BlockReason) {
         self.status = PeStatus::Blocked(reason);
+        self.wait_key = None;
     }
 
     /// The pending trap of a blocked PE, if any.
@@ -508,18 +543,17 @@ impl PeState {
                 if n < argc as usize {
                     return self.fault(VmFault::StackUnderflow);
                 }
-                let args = f.stack.split_off(n - argc as usize);
-                self.frames.push(Frame {
-                    func: addr,
-                    ret_addr: from + 1,
-                    locals: args,
-                    stack: Vec::new(),
-                });
+                let mut callee = self.spare.take(addr, from + 1);
+                callee
+                    .locals
+                    .extend_from_slice(&f.stack[n - argc as usize..]);
+                f.stack.truncate(n - argc as usize);
+                self.frames.push(callee);
                 self.pc = addr;
                 return StepEvent::Called { from, to: addr };
             }
             Insn::Ret { retc } => {
-                let mut popped = match self.frames.pop() {
+                let popped = match self.frames.pop() {
                     Some(f) => f,
                     None => return self.fault(VmFault::StackUnderflow),
                 };
@@ -527,18 +561,21 @@ impl PeState {
                 if n < retc as usize {
                     return self.fault(VmFault::StackUnderflow);
                 }
-                let results = popped.stack.split_off(n - retc as usize);
-                match self.frames.last_mut() {
+                let event = match self.frames.last_mut() {
                     Some(caller) => {
-                        caller.stack.extend_from_slice(&results);
+                        caller
+                            .stack
+                            .extend_from_slice(&popped.stack[n - retc as usize..]);
                         self.pc = popped.ret_addr;
-                        return StepEvent::Returned { to: self.pc };
+                        StepEvent::Returned { to: self.pc }
                     }
                     None => {
                         self.status = PeStatus::Idle;
-                        return StepEvent::TaskComplete;
+                        StepEvent::TaskComplete
                     }
-                }
+                };
+                self.spare.give(popped);
+                return event;
             }
 
             Insn::LoadMem => {

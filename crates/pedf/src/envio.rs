@@ -76,6 +76,9 @@ pub struct EnvSource {
     pub re_pull: bool,
 }
 
+/// The most words a bounded source reserves for its recording up front.
+const RECORDING_RESERVE_CAP: usize = 1 << 16;
+
 impl EnvSource {
     pub fn new(conn: ConnId, period: u32, gen: ValueGen) -> Self {
         assert!(period >= 1);
@@ -91,8 +94,13 @@ impl EnvSource {
         }
     }
 
+    /// Stop after `limit` tokens. A bounded source's recording is sized
+    /// up front (up to `RECORDING_RESERVE_CAP` words), so recording does
+    /// not reallocate mid-run.
     pub fn with_limit(mut self, limit: u64) -> Self {
         self.limit = Some(limit);
+        self.recorded
+            .reserve(limit.min(RECORDING_RESERVE_CAP as u64) as usize);
         self
     }
 
@@ -174,13 +182,14 @@ pub struct EnvSink {
 impl EnvSink {
     pub fn new(conn: ConnId, period: u32) -> Self {
         assert!(period >= 1);
+        let tail_cap = 64;
         EnvSink {
             conn,
             period,
             consumed: 0,
             checksum: 0,
-            tail: Vec::new(),
-            tail_cap: 64,
+            tail: Vec::with_capacity(tail_cap),
+            tail_cap,
         }
     }
 

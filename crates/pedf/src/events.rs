@@ -137,9 +137,10 @@ impl EventBuffer {
         self.dropped
     }
 
-    /// Drain accumulated events (observer, once per cycle).
-    pub fn drain(&mut self) -> Vec<RuntimeEvent> {
-        std::mem::take(&mut self.events).into_iter().collect()
+    /// Drain accumulated events (observer, once per cycle). The buffer is
+    /// kept, so a steady observer does not reallocate it.
+    pub fn drain(&mut self) -> std::collections::vec_deque::Drain<'_, RuntimeEvent> {
+        self.events.drain(..)
     }
 
     pub fn len(&self) -> usize {
@@ -174,7 +175,7 @@ mod tests {
         b.enable();
         b.push(|| RuntimeEvent::BootComplete);
         assert_eq!(b.len(), 1);
-        assert_eq!(b.drain(), vec![RuntimeEvent::BootComplete]);
+        assert!(b.drain().eq([RuntimeEvent::BootComplete]));
         assert!(b.is_empty());
         b.disable();
         b.push(|| RuntimeEvent::BootComplete);

@@ -26,6 +26,11 @@ pub struct FifoState {
     pub pushed: u64,
     /// Tokens ever popped (the next pop gets this index).
     pub popped: u64,
+    /// Bumped by every change of the queue's contents (push, pop, inject,
+    /// remove): the wait key of a PE blocked on this link. Not `pushed +
+    /// popped`, because `remove` takes a token back. A cache stamp: never
+    /// hashed.
+    pub(crate) version: u64,
 }
 
 impl FifoState {
@@ -37,6 +42,7 @@ impl FifoState {
             token_words,
             pushed: 0,
             popped: 0,
+            version: 0,
         }
     }
 
@@ -74,6 +80,7 @@ impl FifoState {
         }
         let index = self.pushed;
         self.pushed += 1;
+        self.version += 1;
         Ok(Some((index, stall)))
     }
 
@@ -96,6 +103,7 @@ impl FifoState {
         }
         let index = self.popped;
         self.popped += 1;
+        self.version += 1;
         Ok(Some((index, stall)))
     }
 
@@ -155,6 +163,7 @@ impl FifoState {
         }
         let index = self.pushed;
         self.pushed += 1;
+        self.version += 1;
         Ok(index)
     }
 
@@ -175,6 +184,7 @@ impl FifoState {
             }
         }
         self.pushed -= 1;
+        self.version += 1;
         Ok(())
     }
 }

@@ -137,6 +137,13 @@ pub struct Runtime {
     /// same decision indices.
     pub policy: SchedulePolicy,
     pop_buf: Vec<Word>,
+    /// Bumped by every mutation of `actors_rt`: the wait key of a
+    /// controller blocked in WAIT_FOR_ACTOR_INIT/SYNC. A cache stamp,
+    /// never hashed.
+    sched_epoch: u64,
+    /// How many filters are `Scheduled`, so `on_cycle` scans for late
+    /// starts only when there can be one.
+    scheduled: u32,
 }
 
 impl Runtime {
@@ -158,6 +165,8 @@ impl Runtime {
             stats: RuntimeStats::default(),
             policy: SchedulePolicy::default(),
             pop_buf: Vec::new(),
+            sched_epoch: 0,
+            scheduled: 0,
         }
     }
 
@@ -168,6 +177,40 @@ impl Runtime {
 
     fn token_words(&self, conn: ConnId) -> u32 {
         self.types.size_words(self.graph.conn(conn).ty)
+    }
+
+    /// Mutable access to an actor's scheduling state. Every mutation goes
+    /// through here (a `sched` change through [`Self::set_sched`], which
+    /// keeps `scheduled` in step), so the scheduler wait key changes with
+    /// it.
+    fn actor_rt(&mut self, actor: ActorId) -> &mut ActorRt {
+        self.sched_epoch += 1;
+        &mut self.actors_rt[actor.0 as usize]
+    }
+
+    fn set_sched(&mut self, actor: ActorId, sched: FilterSched) {
+        let was = std::mem::replace(&mut self.actor_rt(actor).sched, sched);
+        let scheduled = |s| u32::from(s == FilterSched::Scheduled);
+        self.scheduled = self.scheduled + scheduled(sched) - scheduled(was);
+    }
+
+    /// Begin `actor`'s WORK step now: the runtime's side of invoking it.
+    fn begin_work(&mut self, actor: ActorId) {
+        self.set_sched(actor, FilterSched::Running);
+        self.actor_rt(actor).begun = true;
+        self.stats.work_invocations += 1;
+        self.events.push(|| RuntimeEvent::WorkBegun { actor });
+    }
+
+    /// Step boundary: clear `actor`'s per-step read windows and write
+    /// counts.
+    fn reset_windows(&mut self, actor: ActorId) {
+        for c in self.graph.actor(actor).conns() {
+            let rt = &mut self.conns_rt[c.0 as usize];
+            rt.window.clear();
+            rt.window_tokens = 0;
+            rt.written = 0;
+        }
     }
 
     // ---- registration ----------------------------------------------------
@@ -191,6 +234,7 @@ impl Runtime {
         match Arc::make_mut(&mut self.graph).register_actor(*id, &name, kind, parent, pe, work) {
             Ok(aid) => {
                 self.actors_rt.push(ActorRt::default());
+                self.sched_epoch += 1;
                 // May already exist if limits were configured pre-boot.
                 if self.modules_rt.len() <= aid.0 as usize {
                     self.modules_rt
@@ -285,8 +329,8 @@ impl Runtime {
                 );
             }
             ctx.invoke(pe, work, &[]);
-            self.actors_rt[actor.0 as usize].sched = FilterSched::Running;
-            self.actors_rt[actor.0 as usize].begun = true;
+            self.set_sched(actor, FilterSched::Running);
+            self.actor_rt(actor).begun = true;
         }
         self.events.push(|| RuntimeEvent::BootComplete);
         TrapResult::Done
@@ -299,7 +343,7 @@ impl Runtime {
     fn push_words(
         &mut self,
         ctx: &mut TrapCtx<'_>,
-        current: &mut PeState,
+        stall_acc: &mut u32,
         conn: ConnId,
         idx: Word,
         words: &[Word],
@@ -330,7 +374,7 @@ impl Runtime {
         let fifo = &mut self.fifos[link.0 as usize];
         match fifo.push(ctx.mem, words) {
             Ok(Some((index, stall))) => {
-                current.stall += stall;
+                *stall_acc += stall;
                 self.conns_rt[conn.0 as usize].written += 1;
                 self.stats.tokens_pushed += 1;
                 self.events.push(|| RuntimeEvent::TokenPushed {
@@ -352,7 +396,7 @@ impl Runtime {
     fn fill_window(
         &mut self,
         ctx: &mut TrapCtx<'_>,
-        current: &mut PeState,
+        stall_acc: &mut u32,
         conn: ConnId,
         idx: Word,
     ) -> Result<usize, TrapResult> {
@@ -375,17 +419,16 @@ impl Runtime {
             let fifo = &mut self.fifos[link.0 as usize];
             match fifo.pop(ctx.mem, &mut self.pop_buf) {
                 Ok(Some((index, stall))) => {
-                    current.stall += stall;
+                    *stall_acc += stall;
                     let rt = &mut self.conns_rt[conn.0 as usize];
                     rt.window.extend_from_slice(&self.pop_buf);
                     rt.window_tokens += 1;
                     self.stats.tokens_popped += 1;
-                    let words = self.pop_buf.clone();
                     self.events.push(|| RuntimeEvent::TokenPopped {
                         conn,
                         link,
                         index,
-                        value: Value::record(ty, words),
+                        value: Value::record(ty, self.pop_buf.clone()),
                     });
                 }
                 Ok(None) => return Err(TrapResult::Block(BlockReason::TokenWait { link: link.0 })),
@@ -416,10 +459,11 @@ impl Runtime {
                 "unmapped filter",
             );
         };
-        let rt = &mut self.actors_rt[actor.0 as usize];
+        let rt = self.actor_rt(actor);
         rt.started = true;
+        let running = rt.sched == FilterSched::Running;
         self.events.push(|| RuntimeEvent::ActorStarted { actor });
-        if matches!(rt.sched, FilterSched::Running) {
+        if running {
             // Free-running from a previous step; nothing more to do.
             return TrapResult::Done;
         }
@@ -431,32 +475,33 @@ impl Runtime {
                 .policy
                 .decide(ChoiceKind::ActorStart, actor.0, ctx.clock);
             let delay = DELAYS[code as usize % DELAYS.len()];
-            let rt = &mut self.actors_rt[actor.0 as usize];
             if delay == 0 {
                 ctx.invoke(pe, work, &[]);
-                rt.begun = true;
-                rt.sched = FilterSched::Running;
-                self.stats.work_invocations += 1;
-                self.events.push(|| RuntimeEvent::WorkBegun { actor });
+                self.begin_work(actor);
             } else {
-                rt.begun = false;
-                rt.sched = FilterSched::Scheduled;
-                rt.defer_until = ctx.clock + delay;
+                self.defer(actor, ctx.clock + delay);
             }
         } else {
-            let rt = &mut self.actors_rt[actor.0 as usize];
-            rt.begun = false;
-            rt.sched = FilterSched::Scheduled;
+            self.set_sched(actor, FilterSched::Scheduled);
+            self.actor_rt(actor).begun = false;
         }
         TrapResult::Done
     }
 
+    /// A policy-deferred election: WORK begins no earlier than `until`.
+    fn defer(&mut self, actor: ActorId, until: u64) {
+        self.set_sched(actor, FilterSched::Scheduled);
+        let rt = self.actor_rt(actor);
+        rt.begun = false;
+        rt.defer_until = until;
+    }
+
     fn do_actor_sync(&mut self, actor: ActorId) -> TrapResult {
-        let rt = &mut self.actors_rt[actor.0 as usize];
+        let rt = self.actor_rt(actor);
         rt.sync_requested = true;
         if !rt.started && rt.sched == FilterSched::NotScheduled {
             // Vacuous sync on a filter that never ran this step.
-            rt.sched = FilterSched::Synced;
+            self.set_sched(actor, FilterSched::Synced);
         }
         self.events
             .push(|| RuntimeEvent::ActorSyncRequested { actor });
@@ -486,12 +531,11 @@ impl Runtime {
         })
     }
 
-    fn module_filters(&self, module: ActorId) -> Vec<ActorId> {
-        self.graph
+    fn module_filters(graph: &AppGraph, module: ActorId) -> impl Iterator<Item = ActorId> + '_ {
+        graph
             .children(module)
             .filter(|a| a.kind == ActorKind::Filter)
             .map(|a| a.id)
-            .collect()
     }
 
     // ---- trap servicing entry point ---------------------------------------
@@ -521,7 +565,7 @@ impl Runtime {
                         "wrong token width",
                     );
                 }
-                self.push_words(ctx, current, conn, *idx, &[*value])
+                self.push_words(ctx, &mut current.stall, conn, *idx, &[*value])
             }
             traps::POP_TOKEN => {
                 let [conn, idx] = args else {
@@ -534,7 +578,7 @@ impl Runtime {
                         "wrong token width",
                     );
                 }
-                match self.fill_window(ctx, current, conn, *idx) {
+                match self.fill_window(ctx, &mut current.stall, conn, *idx) {
                     Ok(off) => TrapResult::Done1(self.conns_rt[conn.0 as usize].window[off]),
                     Err(r) => r,
                 }
@@ -558,8 +602,8 @@ impl Runtime {
                 if base + tw > caller.locals.len() {
                     return self.fail("struct push out of caller frame".into(), "bad struct slot");
                 }
-                let words: Vec<Word> = caller.locals[base..base + tw].to_vec();
-                self.push_words(ctx, current, conn, *idx, &words)
+                let words = &caller.locals[base..base + tw];
+                self.push_words(ctx, &mut current.stall, conn, *idx, words)
             }
             traps::POP_STRUCT => {
                 let [conn, idx, local_base] = args else {
@@ -570,10 +614,9 @@ impl Runtime {
                     return self.fail(format!("pop: bad conn {}", conn.0), "bad conn");
                 }
                 let tw = self.token_words(conn) as usize;
-                match self.fill_window(ctx, current, conn, *idx) {
+                match self.fill_window(ctx, &mut current.stall, conn, *idx) {
                     Ok(off) => {
-                        let words: Vec<Word> =
-                            self.conns_rt[conn.0 as usize].window[off..off + tw].to_vec();
+                        let words = &self.conns_rt[conn.0 as usize].window[off..off + tw];
                         let depth = current.frames.len();
                         if depth < 2 {
                             return TrapResult::Fault("struct pop without caller");
@@ -584,7 +627,7 @@ impl Runtime {
                             return self
                                 .fail("struct pop out of caller frame".into(), "bad struct slot");
                         }
-                        caller.locals[base..base + tw].copy_from_slice(&words);
+                        caller.locals[base..base + tw].copy_from_slice(words);
                         TrapResult::Done
                     }
                     Err(r) => r,
@@ -647,7 +690,7 @@ impl Runtime {
                     Ok(m) => m,
                     Err(r) => return r,
                 };
-                let pending = self.module_filters(module).into_iter().any(|f| {
+                let pending = Self::module_filters(&self.graph, module).any(|f| {
                     let rt = &self.actors_rt[f.0 as usize];
                     rt.started && !rt.begun
                 });
@@ -662,8 +705,7 @@ impl Runtime {
                     Ok(m) => m,
                     Err(r) => return r,
                 };
-                let filters = self.module_filters(module);
-                let pending = filters.iter().any(|f| {
+                let pending = Self::module_filters(&self.graph, module).any(|f| {
                     let rt = &self.actors_rt[f.0 as usize];
                     rt.sync_requested && rt.sched != FilterSched::Synced
                 });
@@ -671,13 +713,14 @@ impl Runtime {
                     return TrapResult::Block(BlockReason::SyncWait);
                 }
                 // Step boundary: reset every synced filter for the next step.
-                for f in filters {
-                    let rt = &mut self.actors_rt[f.0 as usize];
-                    if rt.sync_requested {
+                let graph = Arc::clone(&self.graph);
+                for f in Self::module_filters(&graph, module) {
+                    if self.actors_rt[f.0 as usize].sync_requested {
+                        self.set_sched(f, FilterSched::NotScheduled);
+                        let rt = self.actor_rt(f);
                         rt.sync_requested = false;
                         rt.started = false;
                         rt.begun = false;
-                        rt.sched = FilterSched::NotScheduled;
                     }
                 }
                 TrapResult::Done
@@ -691,13 +734,7 @@ impl Runtime {
                 // until `pedf_continue` says stop), so its I/O windows reset
                 // at the step boundary it declares, not at task completion.
                 if let Some(&ctrl) = self.pe_actor.get(&pe) {
-                    let conns: Vec<ConnId> = self.graph.actor(ctrl).conns().collect();
-                    for c in conns {
-                        let rt = &mut self.conns_rt[c.0 as usize];
-                        rt.window.clear();
-                        rt.window_tokens = 0;
-                        rt.written = 0;
-                    }
+                    self.reset_windows(ctrl);
                 }
                 let m = &mut self.modules_rt[module.0 as usize];
                 m.steps += 1;
@@ -787,12 +824,11 @@ impl Runtime {
                 self.stats.tokens_popped += 1;
                 k.record(self.pop_buf.first().copied().unwrap_or(0));
                 let conn = k.conn;
-                let words = self.pop_buf.clone();
                 self.events.push_env(|| RuntimeEvent::TokenPopped {
                     conn,
                     link,
                     index,
-                    value: Value::record(ty, words),
+                    value: Value::record(ty, self.pop_buf.clone()),
                 });
             }
         }
@@ -1031,6 +1067,19 @@ impl TrapHandler for Runtime {
         u32::from(self.policy.decide(ChoiceKind::DmaOrder, n_active, clock))
     }
 
+    /// A blocked push or pop reads only its link's FIFO (the PE's own read
+    /// window and write count cannot change while it is blocked); a blocked
+    /// WAIT_FOR_ACTOR_INIT/SYNC reads only the actors' scheduling state.
+    fn wait_key(&self, reason: BlockReason) -> Option<u64> {
+        match reason {
+            BlockReason::TokenWait { link } | BlockReason::SpaceWait { link } => {
+                self.fifos.get(link as usize).map(|f| f.version)
+            }
+            BlockReason::InitWait | BlockReason::SyncWait => Some(self.sched_epoch),
+            BlockReason::DmaWait { .. } | BlockReason::Other(_) => None,
+        }
+    }
+
     fn on_task_complete(&mut self, ctx: &mut TrapCtx<'_>, pe: PeId, current: &mut PeState) {
         let Some(&actor) = self.pe_actor.get(&pe) else {
             return; // boot code finishing on the host
@@ -1038,28 +1087,20 @@ impl TrapHandler for Runtime {
         let kind = self.graph.actor(actor).kind;
         if kind == ActorKind::Controller {
             // Controller loop exited (pedf_continue returned 0).
-            self.actors_rt[actor.0 as usize].sched = FilterSched::Synced;
+            self.set_sched(actor, FilterSched::Synced);
             return;
         }
         // A filter finished one WORK step.
-        let steps_done = {
-            let rt = &mut self.actors_rt[actor.0 as usize];
-            rt.steps_done += 1;
-            rt.steps_done
-        };
+        let rt = self.actor_rt(actor);
+        rt.steps_done += 1;
+        let steps_done = rt.steps_done;
         // Step boundary: reset this filter's I/O windows.
-        let conns: Vec<ConnId> = self.graph.actor(actor).conns().collect();
-        for c in conns {
-            let rt = &mut self.conns_rt[c.0 as usize];
-            rt.window.clear();
-            rt.window_tokens = 0;
-            rt.written = 0;
-        }
+        self.reset_windows(actor);
         self.events
             .push(|| RuntimeEvent::WorkEnded { actor, steps_done });
-        let rt = &mut self.actors_rt[actor.0 as usize];
+        let rt = &self.actors_rt[actor.0 as usize];
         if rt.sync_requested {
-            rt.sched = FilterSched::Synced;
+            self.set_sched(actor, FilterSched::Synced);
             self.events.push(|| RuntimeEvent::ActorSynced { actor });
         } else if rt.started {
             // Free-running: the next step normally begins immediately, but
@@ -1071,19 +1112,12 @@ impl TrapHandler for Runtime {
             if delay == 0 {
                 let work = self.graph.actor(actor).work_addr.unwrap();
                 current.invoke(work, &[]);
-                let rt = &mut self.actors_rt[actor.0 as usize];
-                rt.begun = true;
-                rt.sched = FilterSched::Running;
-                self.stats.work_invocations += 1;
-                self.events.push(|| RuntimeEvent::WorkBegun { actor });
+                self.begin_work(actor);
             } else {
-                let rt = &mut self.actors_rt[actor.0 as usize];
-                rt.begun = false;
-                rt.sched = FilterSched::Scheduled;
-                rt.defer_until = ctx.clock + delay;
+                self.defer(actor, ctx.clock + delay);
             }
         } else {
-            rt.sched = FilterSched::NotScheduled;
+            self.set_sched(actor, FilterSched::NotScheduled);
         }
     }
 
@@ -1092,30 +1126,32 @@ impl TrapHandler for Runtime {
             self.run_env(ctx);
         }
         // Late-start scheduled filters whose PE freed up outside
-        // on_task_complete (e.g. after a fault recovery).
-        if self.booted {
-            let pending: Vec<ActorId> = self
-                .graph
-                .filters()
-                .filter(|a| self.actors_rt[a.id.0 as usize].sched == FilterSched::Scheduled)
-                .map(|a| a.id)
-                .collect();
-            for actor in pending {
+        // on_task_complete (e.g. after a fault recovery). Only filters are
+        // ever `Scheduled`; one starting does not change another's state,
+        // so scanning in place visits the same set a snapshot would.
+        debug_assert_eq!(
+            self.scheduled as usize,
+            self.actors_rt
+                .iter()
+                .filter(|rt| rt.sched == FilterSched::Scheduled)
+                .count(),
+            "`scheduled` out of step with the actors' states"
+        );
+        if self.booted && self.scheduled > 0 {
+            for i in 0..self.actors_rt.len() {
+                let rt = &self.actors_rt[i];
+                if rt.sched != FilterSched::Scheduled || rt.defer_until > ctx.clock {
+                    continue; // not ready, or a policy-deferred election not yet due
+                }
+                let actor = ActorId(i as u32);
                 let a = self.graph.actor(actor);
                 let (Some(pe), Some(work)) = (a.pe, a.work_addr) else {
                     continue;
                 };
-                if self.actors_rt[actor.0 as usize].defer_until > ctx.clock {
-                    continue; // policy-deferred election not yet due
-                }
                 if matches!(ctx.pe(pe).status, PeStatus::Idle) {
                     ctx.invoke(pe, work, &[]);
-                    let rt = &mut self.actors_rt[actor.0 as usize];
-                    rt.begun = true;
-                    rt.sched = FilterSched::Running;
-                    rt.defer_until = 0;
-                    self.stats.work_invocations += 1;
-                    self.events.push(|| RuntimeEvent::WorkBegun { actor });
+                    self.begin_work(actor);
+                    self.actor_rt(actor).defer_until = 0;
                 }
             }
         }

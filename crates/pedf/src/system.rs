@@ -409,7 +409,7 @@ mod tests {
         p.sys.runtime.events.enable();
         p.sys.boot(p.boot_entry).unwrap();
         p.sys.run_to_quiescence(100_000);
-        let evs = p.sys.runtime.events.drain();
+        let evs: Vec<_> = p.sys.runtime.events.drain().collect();
         let pushes = evs
             .iter()
             .filter(|e| matches!(e, RuntimeEvent::TokenPushed { .. }))
