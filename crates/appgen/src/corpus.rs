@@ -28,7 +28,7 @@ pub struct Scenario {
     /// File stem (diagnostics only).
     pub name: String,
     /// Oracle id the divergence fired on when it was found (`D1`..`D6`,
-    /// `BUILD`).
+    /// `D8`, `BUILD`).
     pub oracle: String,
     pub status: Status,
     /// Free-text tracking note: where it came from, what was wrong.

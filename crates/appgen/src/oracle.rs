@@ -1,6 +1,8 @@
-//! The differential oracle: run a generated app through the static
+//! The differential oracle: run an application through the static
 //! analyzers and through the simulator, and require the two worlds to
-//! agree.
+//! agree. Every oracle is generic over the application under test (a
+//! [`Target`]): the fuzz farm runs them over generated [`AppSpec`]s, the
+//! `analyze` gates over the H.264 decoder variants.
 //!
 //! Directions checked (each divergence names its oracle so shrinking can
 //! preserve the failure kind):
@@ -27,6 +29,8 @@
 //!   override space — the pruning may only skip *redundant* universes,
 //!   never load-bearing ones.
 //!
+//! (D7, parked vs. polling simulation, lives in `tests/parking.rs`.)
+//!
 //! `DFA003` (rate inconsistency) deliberately gets only a weak oracle —
 //! the backlog direction of a mismatch still completes while the
 //! starvation direction wedges, so the only sound expectation is "no
@@ -42,19 +46,61 @@ use p2012::{BlockReason, PeStatus, PlatformConfig};
 
 use crate::spec::AppSpec;
 
-/// Cycle budget for one dynamic run of a generated app (tiny graphs; a
-/// run that needs more than this is wedged-by-livelock and counts as a
-/// timeout).
+/// Cycle budget for one dynamic run (a run that needs more than this is
+/// wedged-by-livelock and counts as a timeout).
 pub const MAX_CYCLES: u64 = 200_000;
 /// Checkpoint interval for the replay fixpoint check — small, so even a
-/// short generated run crosses several checkpoint boundaries.
+/// short run crosses several checkpoint boundaries.
 const TT_INTERVAL: u64 = 500;
+
+/// An application the oracles can build, analyze and run.
+pub trait Target {
+    /// Build with FIFO capacity overrides (producer `actor::conn` →
+    /// slots), ready to boot.
+    fn build(
+        &self,
+        caps: &BTreeMap<String, u32>,
+    ) -> Result<(pedf::System, mind::CompiledApp), String>;
+    /// The kernel sources the static analyzers re-parse.
+    fn sources(&self) -> mind::SourceRegistry;
+    /// Attach environment sources and sinks; runs after boot.
+    fn attach_env(&self, _sys: &mut pedf::System, _app: &mind::CompiledApp) -> Result<(), String> {
+        Ok(())
+    }
+}
+
+impl Target for AppSpec {
+    fn build(
+        &self,
+        caps: &BTreeMap<String, u32>,
+    ) -> Result<(pedf::System, mind::CompiledApp), String> {
+        let (mut sys, app) = mind::build_with_caps(
+            &self.to_adl(),
+            &self.to_sources(),
+            PlatformConfig::default(),
+            caps,
+        )
+        .map_err(|e| e.to_string())?;
+        for m in 0..self.modules.len() {
+            let id = app
+                .actor(&format!("m{m}"))
+                .ok_or_else(|| format!("module m{m} missing after elaboration"))?;
+            sys.runtime.set_max_steps(id, self.steps);
+        }
+        Ok((sys, app))
+    }
+
+    fn sources(&self) -> mind::SourceRegistry {
+        self.to_sources()
+    }
+}
 
 /// A static-vs-dynamic disagreement (or a generator/build bug — oracle
 /// `BUILD`), carrying the oracle id that shrinking must preserve.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Divergence {
-    /// Which direction fired: `D1`..`D6`, `D8`, or `BUILD`.
+    /// Which direction fired: `D1`..`D6` or `D8` (D7, parked vs.
+    /// polling simulation, is `tests/parking.rs`), or `BUILD`.
     pub oracle: String,
     pub detail: String,
 }
@@ -67,6 +113,14 @@ impl Divergence {
         }
     }
 }
+
+impl std::fmt::Display for Divergence {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}: {}", self.oracle, self.detail)
+    }
+}
+
+impl std::error::Error for Divergence {}
 
 /// What the simulator did with the app.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,12 +153,13 @@ pub enum Expect {
     NoFaultOnly,
 }
 
-/// The merged static verdict over one spec.
+/// The merged static verdict over one app, with the build it analyzed.
 pub struct StaticVerdict {
     pub findings: Vec<Finding>,
     pub sched: sched::Report,
     pub dfa: dfa::Report,
     pub bcv: bcv::Report,
+    pub app: mind::CompiledApp,
 }
 
 impl StaticVerdict {
@@ -133,34 +188,16 @@ pub struct CheckReport {
     pub explore_checked: bool,
 }
 
-fn build(
-    spec: &AppSpec,
-    caps: &BTreeMap<String, u32>,
-) -> Result<(pedf::System, mind::CompiledApp), String> {
-    let (mut sys, app) = mind::build_with_caps(
-        &spec.to_adl(),
-        &spec.to_sources(),
-        PlatformConfig::default(),
-        caps,
-    )
-    .map_err(|e| e.to_string())?;
-    for m in 0..spec.modules.len() {
-        let id = app
-            .actor(&format!("m{m}"))
-            .ok_or_else(|| format!("module m{m} missing after elaboration"))?;
-        sys.runtime.set_max_steps(id, spec.steps);
-    }
-    Ok((sys, app))
-}
-
-/// Run the three analyzers over the spec and merge the findings the same
-/// way the `analyze` CLI does.
-pub fn static_pass(spec: &AppSpec) -> Result<StaticVerdict, String> {
-    let (_sys, app) = build(spec, &BTreeMap::new())?;
-    let sources = spec.to_sources();
-    let dfa_rep = dfa::analyze(&dfa::AnalysisInput::from_app(&app, &sources));
+/// Run the three analyzers over the as-built app, resolve source spans,
+/// and merge the findings into one sorted, deduplicated list.
+pub fn static_pass<T: Target>(target: &T) -> Result<StaticVerdict, String> {
+    let (_sys, app) = target.build(&BTreeMap::new())?;
+    let sources = target.sources();
+    let mut dfa_rep = dfa::analyze(&dfa::AnalysisInput::from_app(&app, &sources));
+    dfa_rep.resolve_spans(&app.info.lines);
     let bcv_rep = bcv::verify(&bcv::AnalysisInput::from_app(&app));
-    let sched_rep = sched::analyze(&sched::AnalysisInput::from_app(&app, &sources));
+    let mut sched_rep = sched::analyze(&sched::AnalysisInput::from_app(&app, &sources));
+    sched_rep.resolve_spans(&app.info.lines);
     let mut findings = dfa_rep.findings.clone();
     findings.extend(bcv_rep.findings.iter().cloned());
     findings.extend(sched_rep.findings.iter().cloned());
@@ -170,22 +207,23 @@ pub fn static_pass(spec: &AppSpec) -> Result<StaticVerdict, String> {
         sched: sched_rep,
         dfa: dfa_rep,
         bcv: bcv_rep,
+        app,
     })
 }
 
-/// Boot and run the spec with capacity overrides; classify the outcome.
-pub fn dynamic_run(
-    spec: &AppSpec,
+/// Boot and run the app with capacity overrides; classify the outcome.
+pub fn dynamic_run<T: Target>(
+    target: &T,
     caps: &BTreeMap<String, u32>,
 ) -> Result<(pedf::System, mind::CompiledApp, Observed), String> {
-    let (mut sys, app) = build(spec, caps)?;
+    let (mut sys, app) = target.build(caps)?;
     sys.boot(app.boot_entry)?;
-    // Generated apps have no environment sources, so a deadlock or fault
-    // is terminal — no need to burn the rest of the cycle budget
-    // (shrinking runs thousands of these). `is_deadlocked` is transiently
-    // true during step handoffs (controller parked, filter not yet
-    // dispatched), so require it to hold for a stability window before
-    // bailing.
+    target.attach_env(&mut sys, &app)?;
+    // A deadlock or fault is terminal — no need to burn the rest of the
+    // cycle budget (shrinking runs thousands of these).
+    // `is_deadlocked` is transiently true during step handoffs
+    // (controller parked, filter not yet dispatched), so require it to
+    // hold for a stability window before bailing.
     let mut stuck = 0u32;
     sys.run_until(MAX_CYCLES, |s| {
         if s.platform.is_quiescent() || s.first_fault().is_some() {
@@ -223,6 +261,18 @@ pub fn dynamic_run(
         Observed::Timeout
     };
     Ok((sys, app, observed))
+}
+
+/// Build, boot under the debugger, attach the environment: the session
+/// every debugger-level oracle starts from.
+pub fn boot_session<T: Target>(target: &T) -> Result<Session, String> {
+    let (sys, mut app) = target.build(&BTreeMap::new())?;
+    let mut session = Session::attach(sys, std::mem::take(&mut app.info));
+    session
+        .boot(app.boot_entry)
+        .map_err(|e| format!("boot: {e}"))?;
+    target.attach_env(&mut session.sys, &app)?;
+    Ok(session)
 }
 
 fn expected_outcome(v: &StaticVerdict) -> Result<Expect, Divergence> {
@@ -267,23 +317,35 @@ fn deadlock_blame(sys: &pedf::System, dfa_rep: &dfa::Report) -> bool {
     })
 }
 
-/// D3: the capacity-minimum differential arms, mirroring
-/// `analyze --sched-check`.
-fn check_capacity_arms(
-    spec: &AppSpec,
+/// What D3 observed: the predicted minima, the completed run at them,
+/// and every above-floor link it squeezed one slot below.
+pub struct CapacityCheck {
+    /// Predicted minimal capacity per analyzed link (`actor::conn` keys).
+    pub caps: BTreeMap<String, u32>,
+    /// Cycles the run at the minimal capacities took to complete.
+    pub cycles: u64,
+    /// The machine and build of that run, for output checks.
+    pub sys: pedf::System,
+    pub app: mind::CompiledApp,
+    /// `(label, squeezed capacity, full link label)` per squeezed link;
+    /// each wedged, blamed on its link, with the static re-pass agreeing.
+    pub squeezed: Vec<(String, u32, String)>,
+}
+
+/// D3: the capacity-minimum differential arms. `None` when the capacity
+/// model makes no claim (structural deadlock, or no analyzable link).
+pub fn check_capacity_arms<T: Target>(
+    target: &T,
     verdict: &StaticVerdict,
-    report: &mut CheckReport,
-) -> Result<(), Divergence> {
-    let sources = spec.to_sources();
-    let (_sys, app) = build(spec, &BTreeMap::new()).map_err(|e| Divergence::new("BUILD", e))?;
-    let caps = verdict.sched.min_caps_by_label(&app.graph);
-    if caps.is_empty() {
-        return Ok(());
+) -> Result<Option<CapacityCheck>, Divergence> {
+    let caps = verdict.sched.min_caps_by_label(&verdict.app.graph);
+    if verdict.sched.structural || caps.is_empty() {
+        return Ok(None);
     }
     // Arm A: complete at the predicted minima.
-    let (_sys, _app, observed) =
-        dynamic_run(spec, &caps).map_err(|e| Divergence::new("BUILD", e))?;
-    if !matches!(observed, Observed::Completed { .. }) {
+    let (sys, app, observed) =
+        dynamic_run(target, &caps).map_err(|e| Divergence::new("BUILD", e))?;
+    let Observed::Completed { cycles } = observed else {
         return Err(Divergence::new(
             "D3",
             format!(
@@ -291,18 +353,19 @@ fn check_capacity_arms(
                 observed.label()
             ),
         ));
-    }
+    };
     // Arm B: one slot below any above-floor minimum must wedge, blamed on
     // the squeezed link, with the static re-pass agreeing.
+    let sources = target.sources();
+    let mut squeezed = Vec::new();
     for (label, &cap) in &caps {
         if cap < 2 {
             continue;
         }
-        report.squeezed_links += 1;
         let mut tight = caps.clone();
         tight.insert(label.clone(), cap - 1);
         let (sys, app_tight, observed) =
-            dynamic_run(spec, &tight).map_err(|e| Divergence::new("BUILD", e))?;
+            dynamic_run(target, &tight).map_err(|e| Divergence::new("BUILD", e))?;
         if !matches!(observed, Observed::Wedged { .. }) {
             return Err(Divergence::new(
                 "D3",
@@ -343,63 +406,123 @@ fn check_capacity_arms(
                 format!("squeezed build carries no SCH501 on {label_full}"),
             ));
         }
+        squeezed.push((label.clone(), cap - 1, label_full));
     }
-    Ok(())
+    Ok(Some(CapacityCheck {
+        caps,
+        cycles,
+        sys,
+        app,
+        squeezed,
+    }))
 }
 
-/// D6: record → reverse-continue → replay must be a fixpoint, whatever
-/// the app's terminal state is.
-fn check_replay_fixpoint(spec: &AppSpec) -> Result<(), Divergence> {
-    let (sys, mut app) = build(spec, &BTreeMap::new()).map_err(|e| Divergence::new("BUILD", e))?;
-    let boot = app.boot_entry;
-    let info = std::mem::take(&mut app.info);
-    let mut session = Session::attach(sys, info);
-    session
-        .boot(boot)
-        .map_err(|e| Divergence::new("BUILD", format!("boot: {e}")))?;
+/// D5: no schedule beats `period_lb` per iteration at the bottleneck, so
+/// a completed run of `steps` iterations takes at least
+/// `period_lb × steps` cycles. Returns the bound, or `None` when the
+/// analysis derived none.
+pub fn check_throughput(
+    sched: &sched::Report,
+    steps: u64,
+    cycles: u64,
+) -> Result<Option<u64>, Divergence> {
+    if sched.period_lb == 0 {
+        return Ok(None);
+    }
+    let bound = sched.period_lb * steps;
+    if cycles < bound {
+        return Err(Divergence::new(
+            "D5",
+            format!(
+                "measured {cycles} cycles beats the static bound {bound} \
+                 ({} per iteration)",
+                sched.period_lb
+            ),
+        ));
+    }
+    Ok(Some(bound))
+}
+
+/// What the D6 round trip observed: a recorded run to its terminal stop,
+/// a `reverse-continue`, and a replay forward to the end again.
+pub struct RoundTrip {
+    /// Non-terminal stops (module step catchpoints) on the way.
+    pub stops: u64,
+    /// `deadlock`, `quiescent`, `fault` or `cycle-limit`.
+    pub terminal: &'static str,
+    pub end_cycle: u64,
+    pub end_hash: u64,
+    /// Where `reverse-continue` landed.
+    pub landed: u64,
+    pub replayed_cycle: u64,
+    pub replayed_hash: u64,
+    /// `REPLAY501` divergences the replay engine reported.
+    pub findings: Vec<Finding>,
+}
+
+impl RoundTrip {
+    /// D6 holds: the replay lands on the end cycle with the end hash and
+    /// no replay finding.
+    pub fn check(&self) -> Result<(), Divergence> {
+        let detail = if self.replayed_hash != self.end_hash {
+            format!(
+                "state hash diverged: {:#018x} -> {:#018x}",
+                self.end_hash, self.replayed_hash
+            )
+        } else if self.replayed_cycle != self.end_cycle {
+            format!(
+                "replay landed at {} not {}",
+                self.replayed_cycle, self.end_cycle
+            )
+        } else if let Some(f) = self.findings.first() {
+            format!("{} replay findings ({})", self.findings.len(), f.rule)
+        } else {
+            return Ok(());
+        };
+        Err(Divergence::new("D6", detail))
+    }
+}
+
+/// D6: record → reverse-continue → replay, whatever the app's terminal
+/// state is. [`RoundTrip::check`] judges the result.
+pub fn replay_round_trip<T: Target>(target: &T) -> Result<RoundTrip, Divergence> {
+    let mut session = boot_session(target).map_err(|e| Divergence::new("BUILD", e))?;
     session.enable_time_travel(TT_INTERVAL);
     session
         .catch_step(None, true)
         .map_err(|e| Divergence::new("BUILD", format!("catch step: {e}")))?;
     let mut stops = 0u64;
-    loop {
+    let terminal = loop {
         match session.run(MAX_CYCLES) {
-            Stop::Deadlock | Stop::Quiescent | Stop::CycleLimit | Stop::Fault { .. } => break,
+            Stop::Deadlock => break "deadlock",
+            Stop::Quiescent => break "quiescent",
+            Stop::Fault { .. } => break "fault",
+            Stop::CycleLimit => break "cycle-limit",
             _ => stops += 1,
         }
         if stops > 100_000 {
             return Err(Divergence::new("D6", "runaway stop loop under recording"));
         }
-    }
-    let end_clock = session.sys.clock();
+    };
+    let end_cycle = session.sys.clock();
     let end_hash = session.state_hash();
     session
         .reverse_continue()
         .map_err(|e| Divergence::new("D6", format!("reverse-continue failed: {e}")))?;
+    let landed = session.sys.clock();
     session
-        .goto_cycle(end_clock)
+        .goto_cycle(end_cycle)
         .map_err(|e| Divergence::new("D6", format!("replay to end failed: {e}")))?;
-    let replayed_hash = session.state_hash();
-    if replayed_hash != end_hash {
-        return Err(Divergence::new(
-            "D6",
-            format!("state hash diverged: {end_hash:#018x} -> {replayed_hash:#018x}"),
-        ));
-    }
-    if session.sys.clock() != end_clock {
-        return Err(Divergence::new(
-            "D6",
-            format!("replay landed at {} not {end_clock}", session.sys.clock()),
-        ));
-    }
-    let findings = session.replay_findings();
-    if !findings.is_empty() {
-        return Err(Divergence::new(
-            "D6",
-            format!("{} replay findings ({})", findings.len(), findings[0].rule),
-        ));
-    }
-    Ok(())
+    Ok(RoundTrip {
+        stops,
+        terminal,
+        end_cycle,
+        end_hash,
+        landed,
+        replayed_cycle: session.sys.clock(),
+        replayed_hash: session.state_hash(),
+        findings: session.replay_findings().to_vec(),
+    })
 }
 
 /// D8: one bounded multiverse search over the spec's interleavings.
@@ -412,7 +535,9 @@ fn explore_once(
     until: multiverse::Until,
     optimized: bool,
 ) -> Result<multiverse::ExploreReport, Divergence> {
-    let (mut sys, app) = build(spec, &BTreeMap::new()).map_err(|e| Divergence::new("BUILD", e))?;
+    let (mut sys, app) = spec
+        .build(&BTreeMap::new())
+        .map_err(|e| Divergence::new("BUILD", e))?;
     sys.boot(app.boot_entry)
         .map_err(|e| Divergence::new("BUILD", format!("boot: {e}")))?;
     let race_sites = verdict
@@ -596,33 +721,21 @@ pub fn check_spec(spec: &AppSpec) -> Result<CheckReport, Divergence> {
 
     // D5: the throughput bound, where it soundly applies.
     if let Observed::Completed { cycles } = observed {
-        if spec.all_unit_rates() && verdict.sched.period_lb > 0 {
-            report.throughput_checked = true;
-            let bound = verdict.sched.period_lb * spec.steps;
-            if cycles < bound {
-                return Err(Divergence::new(
-                    "D5",
-                    format!(
-                        "measured {cycles} cycles beats the static bound {bound} \
-                         ({} per iteration)",
-                        verdict.sched.period_lb
-                    ),
-                ));
+        if spec.all_unit_rates() {
+            report.throughput_checked =
+                check_throughput(&verdict.sched, spec.steps, cycles)?.is_some();
+        }
+        // D3: capacity minima, on apps the capacity model claims to cover.
+        if matches!(expect, Expect::Complete) {
+            if let Some(check) = check_capacity_arms(spec, &verdict)? {
+                report.squeezed_links = check.squeezed.len();
             }
         }
     }
 
-    // D3: capacity minima, on apps the capacity model claims to cover.
-    if matches!(expect, Expect::Complete)
-        && !verdict.sched.structural
-        && matches!(observed, Observed::Completed { .. })
-    {
-        check_capacity_arms(spec, &verdict, &mut report)?;
-    }
-
     // D6: the replay fixpoint, on every app.
     report.replay_checked = true;
-    check_replay_fixpoint(spec)?;
+    replay_round_trip(spec)?.check()?;
 
     // D8: bounded explore vs. brute-force ground truth, on apps whose
     // static verdict says an interleaving search has something to find.

@@ -4,8 +4,9 @@
 //! inspection.
 //!
 //! ```text
-//! analyze [clean|deadlock|rate|oob|race|dma|capacity] [--deny warnings]
-//!         [--expect-findings] [--json]
+//! analyze [clean|deadlock|rate|oob|race|benign|dma|capacity]
+//!         [--deny warnings] [--expect-findings] [--json]
+//!         [--replay-check] [--sched-check] [--witness-check]
 //! ```
 //!
 //! Exit status is non-zero when `--deny warnings` sees a finding at
@@ -16,43 +17,53 @@
 //! known-bad graphs must stay detected). `--json` replaces the human-readable output
 //! with machine-readable findings in a deterministic, byte-stable order.
 //!
-//! `--replay-check` instead *executes* the variant under the debugger with
-//! time travel enabled, drives a `reverse-continue` round trip, and prints
-//! byte-stable state hashes plus the findings JSON. CI runs it twice and
-//! byte-compares the outputs: any nondeterminism in the simulator, the
-//! replay engine or the analyzers shows up as a diff or as a `REPLAY501`
-//! finding (non-zero exit).
+//! The `--*-check` gates print thin transcripts over the differential
+//! oracles of `appgen::oracle`, the same code the fuzz farm runs over
+//! generated apps, with the decoder variant as the target
+//! (`dataflow_debugger::decoder::Decoder`):
 //!
-//! `--sched-check` is the differential gate for the `sched` capacity and
-//! throughput predictions: it rebuilds the variant with every analyzed
-//! FIFO pinned to its *predicted minimal* capacity and requires the run to
-//! complete; then, for every link whose minimum exceeds the floor of one,
-//! rebuilds with that single link one slot below the minimum and requires
-//! the run to wedge with a producer blocked on exactly the link the static
-//! `SCH501` finding blames. The measured end-to-end cycle count must also
-//! respect the static throughput lower bound. Everything printed is
-//! byte-stable, so CI can diff two invocations.
+//! * `--replay-check` is oracle D6: it *executes* the variant under the
+//!   debugger with time travel enabled, drives a `reverse-continue`
+//!   round trip, and prints byte-stable state hashes. CI byte-compares
+//!   two runs and the checked-in transcript: any nondeterminism in the
+//!   simulator or the replay engine shows up as a diff or as a
+//!   `REPLAY501` finding (non-zero exit).
+//! * `--sched-check` is oracles D3 + D5 for the `sched` capacity and
+//!   throughput predictions: the variant completes with every analyzed
+//!   FIFO pinned to its *predicted minimal* capacity; for every link whose
+//!   minimum exceeds the floor of one, the variant wedges with that single
+//!   link one slot below the minimum, a producer blocked on exactly the
+//!   link the static `SCH501` finding blames. The measured end-to-end
+//!   cycle count must also respect the static throughput lower bound.
+//! * `--witness-check` is the differential gate for the multiverse engine
+//!   (`crates/multiverse`): the seeded `deadlock` and `race` variants must
+//!   yield *replayable* dynamic witnesses (MV701/MV702) that land a fresh
+//!   session at the failure with the statically blamed edge/pair confirmed
+//!   dynamically, while the `benign` variant — statically indistinguishable
+//!   from the race (`RACE401` fires on the same shared word) but
+//!   data-dependently immune — must be refuted within the default budget
+//!   (MV703). Witnessed findings carry the replayable choice trace in the
+//!   findings JSON (`witness` field).
 //!
-//! `--witness-check` is the differential gate for the multiverse engine
-//! (`crates/multiverse`): the seeded `deadlock` and `race` variants must
-//! yield *replayable* dynamic witnesses (MV701/MV702) that land a fresh
-//! session at the failure with the statically blamed edge/pair confirmed
-//! dynamically, while the `benign` variant — statically indistinguishable
-//! from the race (`RACE401` fires on the same shared word) but
-//! data-dependently immune — must be refuted within the default budget
-//! (MV703). Witnessed findings carry the replayable choice trace in the
-//! findings JSON (`witness` field); the output is byte-stable.
+//! Everything the gates print is byte-stable; `tests/golden/` holds the
+//! transcripts CI diffs against.
 
-use std::collections::BTreeMap;
+use std::error::Error;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use dataflow_debugger::dfdbg::{Session, Stop};
-use dataflow_debugger::h264::{
-    attach_env, build_decoder, build_decoder_with_caps, decoder_sources, golden, Bug,
+use dataflow_debugger::appgen::oracle;
+use dataflow_debugger::debuginfo::{
+    render_findings, render_findings_json, sort_and_dedup_findings, Finding,
 };
-use dataflow_debugger::p2012::{BlockReason, PeStatus, PlatformConfig};
-use dataflow_debugger::{bcv, dfa, sched};
+use dataflow_debugger::decoder::{Decoder, ENV_SEED};
+use dataflow_debugger::h264::{golden, Bug};
+use dataflow_debugger::p2012::{BlockReason, PeStatus};
+use dataflow_debugger::pedf::{ActorId, LinkId};
+use dataflow_debugger::{bcv, dfa, multiverse, sched};
+
+/// A gate's verdict; the error is printed and fails the process.
+type Gate = Result<(), Box<dyn Error>>;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -90,73 +101,58 @@ fn main() -> ExitCode {
             }
         }
     }
-    if replay_check {
-        return run_replay_check(variant);
-    }
-    if sched_check {
-        return run_sched_check(variant);
-    }
-    if witness_check {
-        return run_witness_check(variant);
-    }
-
-    let (_sys, app) = match build_decoder(variant, 4, PlatformConfig::default()) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("build failed: {e}");
-            return ExitCode::FAILURE;
-        }
+    let verdict = if replay_check {
+        run_replay_check(variant)
+    } else if sched_check {
+        run_sched_check(variant)
+    } else if witness_check {
+        run_witness_check(variant)
+    } else {
+        run_static(variant, deny_warnings, expect_findings, json)
     };
-    let sources = decoder_sources(variant);
-    let input = dfa::AnalysisInput::from_app(&app, &sources);
-    let bcv_input = bcv::AnalysisInput::from_app(&app);
-    let sched_input = sched::AnalysisInput::from_app(&app, &sources);
+    match verdict {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
 
+/// The default mode: print the findings and gate on their severity.
+fn run_static(variant: Bug, deny_warnings: bool, expect_findings: bool, json: bool) -> Gate {
     let t0 = Instant::now();
-    let mut report = dfa::analyze(&input);
-    report.resolve_spans(&app.info.lines);
-    let bcv_report = bcv::verify(&bcv_input);
-    let mut sched_report = sched::analyze(&sched_input);
-    sched_report.resolve_spans(&app.info.lines);
+    let verdict = oracle::static_pass(&Decoder {
+        bug: variant,
+        n_mbs: 4,
+    })?;
     let wall = t0.elapsed();
-
-    let mut findings = report.findings.clone();
-    findings.extend(bcv_report.findings.iter().cloned());
-    findings.extend(sched_report.findings.iter().cloned());
-    dataflow_debugger::debuginfo::sort_and_dedup_findings(&mut findings);
+    let findings = &verdict.findings;
 
     if json {
-        print!(
-            "{}",
-            dataflow_debugger::debuginfo::render_findings_json(&findings)
-        );
+        print!("{}", render_findings_json(findings));
     } else {
+        let graph = &verdict.app.graph;
         println!(
             "analyzed {:?}: {} actors, {} links, {} kernels, {} functions in {:.2?}",
             variant,
-            input.graph.actors.len(),
-            input.graph.links.len(),
-            input.kernels.len(),
-            bcv_input.program.funcs.len(),
+            graph.actors.len(),
+            graph.links.len(),
+            verdict.app.kernel_files.len(),
+            verdict.app.program.funcs.len(),
             wall
         );
-        print!(
-            "{}",
-            dataflow_debugger::debuginfo::render_findings(&findings)
-        );
-        if !bcv_report.race_pairs.is_empty() {
-            let names: Vec<String> = bcv_report
+        print!("{}", render_findings(findings));
+        if !verdict.bcv.race_pairs.is_empty() {
+            let names: Vec<String> = verdict
+                .bcv
                 .race_pairs
                 .iter()
                 .map(|&(a, b)| {
                     format!(
                         "{} <-> {}",
-                        input
-                            .graph
-                            .qualified_name(dataflow_debugger::pedf::ActorId(a)),
-                        input
-                            .graph
-                            .qualified_name(dataflow_debugger::pedf::ActorId(b))
+                        graph.qualified_name(ActorId(a)),
+                        graph.qualified_name(ActorId(b))
                     )
                 })
                 .collect();
@@ -166,341 +162,114 @@ fn main() -> ExitCode {
 
     let worst = findings.iter().map(|f| f.severity).max();
     if deny_warnings && worst >= Some(dfa::Severity::Warning) {
-        eprintln!("error: findings at or above warning level (denied)");
-        return ExitCode::FAILURE;
+        return Err("findings at or above warning level (denied)".into());
     }
     if expect_findings && worst < Some(dfa::Severity::Warning) {
-        eprintln!("error: expected warning-or-worse findings, analyzer reported none");
-        return ExitCode::FAILURE;
+        return Err("expected warning-or-worse findings, analyzer reported none".into());
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-/// The CI determinism gate: execute `variant` under the debugger with
-/// time travel enabled, catch every module step begin, run to a terminal
-/// stop, then drive a `reverse-continue` + replay round trip. Everything
-/// printed is byte-stable across runs (no wall-clock, no addresses), so
-/// CI can diff two invocations; within one invocation the final state
-/// hash must survive restore + replay unchanged and the replay engine
-/// must report zero `REPLAY501` divergences.
-fn run_replay_check(variant: Bug) -> ExitCode {
-    const N_MBS: u64 = 8;
-    const INTERVAL: u64 = 2_000;
-
-    let (sys, mut app) = match build_decoder(variant, N_MBS, PlatformConfig::default()) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("build failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let boot = app.boot_entry;
-    let info = std::mem::take(&mut app.info);
-    let mut session = Session::attach(sys, info);
-    if let Err(e) = session.boot(boot) {
-        eprintln!("boot failed: {e}");
-        return ExitCode::FAILURE;
-    }
-    if let Err(e) = attach_env(&mut session.sys, &app, N_MBS, 0xbeef) {
-        eprintln!("env attach failed: {e}");
-        return ExitCode::FAILURE;
-    }
-    session.enable_time_travel(INTERVAL);
-    if let Err(e) = session.catch_step(None, true) {
-        eprintln!("catch step failed: {e}");
-        return ExitCode::FAILURE;
-    }
-
-    let mut hits = 0u64;
-    let terminal = loop {
-        match session.run(50_000_000) {
-            Stop::Dataflow(_) => hits += 1,
-            s @ (Stop::Deadlock | Stop::Quiescent | Stop::CycleLimit | Stop::Fault { .. }) => {
-                break s;
-            }
-            _ => hits += 1,
-        }
-        if hits > 1_000_000 {
-            eprintln!("error: runaway stop loop");
-            return ExitCode::FAILURE;
-        }
-    };
-    let terminal = match terminal {
-        Stop::Deadlock => "deadlock",
-        Stop::Quiescent => "quiescent",
-        Stop::Fault { .. } => "fault",
-        _ => "cycle-limit",
-    };
-    let end_clock = session.sys.clock();
-    let end_hash = session.state_hash();
-    println!("replay-check {variant:?}: {hits} stops, terminal {terminal}");
-    println!("end cycle {end_clock} hash {end_hash:#018x}");
-
-    let landed = match session.reverse_continue() {
-        Ok(_) => session.sys.clock(),
-        Err(e) => {
-            eprintln!("reverse-continue failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!("reverse-continue landed at cycle {landed}");
-
-    if let Err(e) = session.goto_cycle(end_clock) {
-        eprintln!("replay to end failed: {e}");
-        return ExitCode::FAILURE;
-    }
-    let replayed_hash = session.state_hash();
+/// The CI determinism gate: oracle D6 on the variant. Within one
+/// invocation the final state hash must survive restore + replay
+/// unchanged and the replay engine must report zero `REPLAY501`
+/// divergences.
+fn run_replay_check(variant: Bug) -> Gate {
+    let rt = oracle::replay_round_trip(&Decoder {
+        bug: variant,
+        n_mbs: 8,
+    })?;
     println!(
-        "replayed to cycle {} hash {replayed_hash:#018x}",
-        session.sys.clock()
+        "replay-check {variant:?}: {} stops, terminal {}",
+        rt.stops, rt.terminal
     );
-
-    let findings = session.replay_findings();
-    println!("replay findings: {}", findings.len());
-    let mut ok = true;
-    if !findings.is_empty() {
-        print!(
-            "{}",
-            dataflow_debugger::debuginfo::render_findings(findings)
-        );
-        ok = false;
-    }
-    if replayed_hash != end_hash {
-        eprintln!("error: state hash diverged across the reverse-continue round trip");
-        ok = false;
-    }
-    if session.sys.clock() != end_clock {
-        eprintln!("error: replay overshot the original cycle");
-        ok = false;
-    }
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
-/// One simulator run for the sched gate: build `variant` with explicit
-/// capacity overrides, boot, attach the environment, run. Returns the
-/// system (for blame inspection), the app, and whether it reached
-/// quiescence. Faults are gate failures in their own right.
-fn run_with_caps(
-    variant: Bug,
-    caps: &BTreeMap<String, u32>,
-    max_cycles: u64,
-) -> Result<
-    (
-        dataflow_debugger::pedf::System,
-        dataflow_debugger::h264::CompiledApp,
-        bool,
-    ),
-    String,
-> {
-    const N_MBS: u64 = 8;
-    let (mut sys, app) = build_decoder_with_caps(variant, N_MBS, PlatformConfig::default(), caps)
-        .map_err(|e| format!("build failed: {e}"))?;
-    sys.boot(app.boot_entry)?;
-    attach_env(&mut sys, &app, N_MBS, 0xbeef)?;
-    let finished = sys.run_to_quiescence(max_cycles);
-    if let Some((pe, fault)) = sys.first_fault() {
-        return Err(format!("fault on {pe}: {fault}"));
-    }
-    Ok((sys, app, finished))
-}
-
-/// The differential gate for the static performance analyzer: every
-/// capacity the abstract model calls minimal must be dynamically minimal
-/// on the real simulator — sufficient at the predicted size, insufficient
-/// one slot below it (with the dynamic deadlock blamed on the very link
-/// the static `SCH501` names) — and the measured cycle count must respect
-/// the static throughput lower bound.
-fn run_sched_check(variant: Bug) -> ExitCode {
-    const N_MBS: u64 = 8;
-    const MAX_CYCLES: u64 = 5_000_000;
-
-    // Static pass over the variant exactly as the ADL builds it.
-    let (_sys, app) = match build_decoder(variant, N_MBS, PlatformConfig::default()) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("build failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let sources = decoder_sources(variant);
-    let input = sched::AnalysisInput::from_app(&app, &sources);
-    let report = sched::analyze(&input);
-    if report.structural {
-        eprintln!("error: abstract network deadlocks at any capacity; sizing not applicable");
-        return ExitCode::FAILURE;
-    }
-    let caps = report.min_caps_by_label(&app.graph);
-    if caps.is_empty() {
-        eprintln!("error: no analyzable link (nothing to check)");
-        return ExitCode::FAILURE;
-    }
+    println!("end cycle {} hash {:#018x}", rt.end_cycle, rt.end_hash);
+    println!("reverse-continue landed at cycle {}", rt.landed);
     println!(
-        "sched-check {variant:?}: {} analyzed links, period bound {} cycles",
-        caps.len(),
-        report.period_lb
+        "replayed to cycle {} hash {:#018x}",
+        rt.replayed_cycle, rt.replayed_hash
     );
-    for (label, cap) in &caps {
-        println!("  min cap {label} = {cap}");
+    println!("replay findings: {}", rt.findings.len());
+    if !rt.findings.is_empty() {
+        print!("{}", render_findings(&rt.findings));
     }
+    Ok(rt.check()?)
+}
+
+/// The differential gate for the static performance analyzer: oracles D3
+/// and D5 on the variant, plus the static detection direction of
+/// `SCH501` and, on the clean decoder, the golden output at the minimum.
+fn run_sched_check(variant: Bug) -> Gate {
+    const N_MBS: u64 = 8;
+    let target = Decoder {
+        bug: variant,
+        n_mbs: N_MBS,
+    };
+    let verdict = oracle::static_pass(&target)?;
 
     // Static detection direction: the seeded capacity bug must already be
     // an SCH501 on the as-built graph; the clean graph must carry none.
-    let sch501: Vec<String> = report
+    let sch501: Vec<&str> = verdict
         .findings
         .iter()
         .filter(|f| f.rule == sched::rules::CAPACITY_BELOW_MIN)
-        .map(|f| f.subject.clone())
+        .map(|f| f.subject.as_str())
         .collect();
     match variant {
         Bug::TightFifo if sch501.is_empty() => {
-            eprintln!("error: seeded tight FIFO produced no SCH501 finding");
-            return ExitCode::FAILURE;
+            return Err("seeded tight FIFO produced no SCH501 finding".into());
         }
         Bug::None if !sch501.is_empty() => {
-            eprintln!("error: clean graph produced SCH501 findings: {sch501:?}");
-            return ExitCode::FAILURE;
+            return Err(format!("clean graph produced SCH501 findings: {sch501:?}").into());
         }
         _ => {}
     }
 
-    // Arm A: at the predicted minimal sizes the real decoder completes.
-    let (sys, app_min, finished) = match run_with_caps(variant, &caps, MAX_CYCLES) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("error: run at minimal capacities: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if !finished {
-        eprintln!("error: decoder wedged at the predicted minimal capacities");
-        return ExitCode::FAILURE;
+    let check = oracle::check_capacity_arms(&target, &verdict)?
+        .ok_or("no capacity prediction to check (structural deadlock or no analyzable link)")?;
+    println!(
+        "sched-check {variant:?}: {} analyzed links, period bound {} cycles",
+        check.caps.len(),
+        verdict.sched.period_lb
+    );
+    for (label, cap) in &check.caps {
+        println!("  min cap {label} = {cap}");
     }
-    let cycles = sys.clock();
-    println!("minimal capacities: completed in {cycles} cycles");
+    println!("minimal capacities: completed in {} cycles", check.cycles);
 
     // The clean variant's output must still match the golden model — the
     // squeeze changes scheduling, never values.
-    if matches!(variant, Bug::None) {
-        let expect = golden::decode_stream(N_MBS as u32, 0xbeef);
-        let sink = sys
+    if variant == Bug::None {
+        let expect = golden::decode_stream(N_MBS as u32, ENV_SEED);
+        let sink = check
+            .sys
             .runtime
-            .sink_for(app_min.boundary_out["frame_out"])
+            .sink_for(check.app.boundary_out["frame_out"])
             .expect("sink attached");
         if sink.checksum != golden::checksum(&expect) {
-            eprintln!("error: output diverged from the golden model at minimal capacities");
-            return ExitCode::FAILURE;
+            return Err("output diverged from the golden model at minimal capacities".into());
         }
         println!("golden checksum intact at minimal capacities");
     }
 
-    // Throughput: no schedule beats rep x BCET at the bottleneck, so the
-    // measured whole-run cycle count must sit at or above the bound.
-    if report.period_lb > 0 {
-        let bound = report.period_lb * N_MBS;
-        if cycles < bound {
-            eprintln!(
-                "error: measured {cycles} cycles beats the static bound {bound} \
-                 ({} per iteration): the bound is unsound",
-                report.period_lb
-            );
-            return ExitCode::FAILURE;
-        }
-        println!("throughput: {cycles} cycles for {N_MBS} iterations >= static bound {bound}");
-    }
-
-    // Arm B: one slot below the minimum each above-floor link wedges the
-    // decoder, and the dynamically blamed producer matches the prediction.
-    let mut squeezed = 0usize;
-    for (label, &cap) in &caps {
-        if cap < 2 {
-            continue;
-        }
-        squeezed += 1;
-        let mut tight = caps.clone();
-        tight.insert(label.clone(), cap - 1);
-        let (sys, app_tight, finished) = match run_with_caps(variant, &tight, MAX_CYCLES) {
-            Ok(x) => x,
-            Err(e) => {
-                eprintln!("error: run with {label} squeezed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if finished {
-            eprintln!(
-                "error: decoder completed with {label} at {} — the predicted \
-                 minimum {cap} is not minimal",
-                cap - 1
-            );
-            return ExitCode::FAILURE;
-        }
-        if !sys.platform.is_deadlocked() {
-            eprintln!("error: squeezed run hit the cycle limit without deadlocking");
-            return ExitCode::FAILURE;
-        }
-        let conn = app_tight.conn(label).expect("label round-trips");
-        let victim = app_tight.graph.conn(conn).link.expect("bound conn");
-        let blamed = sys.runtime.graph.actors.iter().any(|a| {
-            a.pe.is_some_and(|pe| {
-                matches!(
-                    sys.pe_status(pe),
-                    PeStatus::Blocked(BlockReason::SpaceWait { link: l }) if l == victim.0
-                )
-            })
-        });
-        if !blamed {
-            eprintln!("error: deadlock not blamed on {label}: no producer space-waits on it");
-            return ExitCode::FAILURE;
-        }
-        // Cross-check the static side on the squeezed build: the same
-        // link must carry the SCH501.
-        let squeezed_input = sched::AnalysisInput::from_app(&app_tight, &sources);
-        let squeezed_report = sched::analyze(&squeezed_input);
-        let label_full = app_tight.graph.link_label(victim);
-        let hit = squeezed_report
-            .findings
-            .iter()
-            .any(|f| f.rule == sched::rules::CAPACITY_BELOW_MIN && f.subject == label_full);
-        if !hit {
-            eprintln!("error: squeezed build carries no SCH501 on {label_full}");
-            return ExitCode::FAILURE;
-        }
+    if let Some(bound) = oracle::check_throughput(&verdict.sched, N_MBS, check.cycles)? {
         println!(
-            "  {label} at {}: wedges, dynamic blame and SCH501 agree on {label_full}",
-            cap - 1
+            "throughput: {} cycles for {N_MBS} iterations >= static bound {bound}",
+            check.cycles
         );
     }
-    if squeezed == 0 {
-        println!("no analyzed link above the one-slot floor; squeeze arm vacuous");
+
+    for (label, cap, label_full) in &check.squeezed {
+        println!("  {label} at {cap}: wedges, dynamic blame and SCH501 agree on {label_full}");
     }
-    if matches!(variant, Bug::TightFifo) && squeezed == 0 {
-        eprintln!("error: seeded tight FIFO exposed no above-floor link to squeeze");
-        return ExitCode::FAILURE;
+    if check.squeezed.is_empty() {
+        println!("no analyzed link above the one-slot floor; squeeze arm vacuous");
+        if variant == Bug::TightFifo {
+            return Err("seeded tight FIFO exposed no above-floor link to squeeze".into());
+        }
     }
     println!("sched-check PASS");
-    ExitCode::SUCCESS
-}
-
-/// Build `variant` fresh, boot it under the debugger, attach the
-/// environment, and replay `witness` — the same construction path the
-/// witness was found on, so the anchor hash must match. Returns the
-/// landed session for postcondition checks.
-fn replay_in_fresh_session(variant: Bug, n_mbs: u64, witness: &str) -> Result<Session, String> {
-    let (sys, mut app) = build_decoder(variant, n_mbs, PlatformConfig::default())
-        .map_err(|e| format!("rebuild failed: {e}"))?;
-    let boot = app.boot_entry;
-    let info = std::mem::take(&mut app.info);
-    let mut session = Session::attach(sys, info);
-    session
-        .boot(boot)
-        .map_err(|e| format!("boot failed: {e}"))?;
-    attach_env(&mut session.sys, &app, n_mbs, 0xbeef).map_err(|e| format!("env: {e}"))?;
-    let out = session.explore_replay(witness)?;
-    println!("{out}");
-    Ok(session)
+    Ok(())
 }
 
 /// The differential gate for the multiverse engine: the seeded `deadlock`
@@ -509,42 +278,24 @@ fn replay_in_fresh_session(variant: Bug, n_mbs: u64, witness: &str) -> Result<Se
 /// confirmed dynamically; the `benign` variant — same static `RACE401`,
 /// data-dependently immune — must be refuted within the default budget.
 /// Witnessed findings carry the choice trace in the findings JSON.
-/// Everything printed is byte-stable, so CI can diff two invocations.
-fn run_witness_check(variant: Bug) -> ExitCode {
-    const N_MBS: u64 = 4;
-    use dataflow_debugger::debuginfo::Finding;
-    use dataflow_debugger::multiverse;
-    use dataflow_debugger::pedf::LinkId;
-
+fn run_witness_check(variant: Bug) -> Gate {
     let until = match variant {
         Bug::Deadlock => multiverse::Until::Deadlock,
         Bug::SharedScratch | Bug::BenignScratch => multiverse::Until::Race,
-        _ => {
-            eprintln!("error: --witness-check supports the deadlock, race and benign variants");
-            return ExitCode::FAILURE;
-        }
+        _ => return Err("--witness-check supports the deadlock, race and benign variants".into()),
     };
     let expect_witness = !matches!(variant, Bug::BenignScratch);
+    let target = Decoder {
+        bug: variant,
+        n_mbs: 4,
+    };
 
     // Static pass first: these are the claims the dynamic gate must
-    // confirm or refute (spans resolve while the app still owns its
-    // debug info).
-    let (sys, mut app) = match build_decoder(variant, N_MBS, PlatformConfig::default()) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("build failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let sources = decoder_sources(variant);
-    let input = dfa::AnalysisInput::from_app(&app, &sources);
-    let bcv_input = bcv::AnalysisInput::from_app(&app);
-    let mut dfa_report = dfa::analyze(&input);
-    dfa_report.resolve_spans(&app.info.lines);
-    let bcv_report = bcv::verify(&bcv_input);
-    let mut findings = dfa_report.findings.clone();
-    findings.extend(bcv_report.findings.iter().cloned());
-    dataflow_debugger::debuginfo::sort_and_dedup_findings(&mut findings);
+    // confirm or refute (the dfa + bcv findings only).
+    let verdict = oracle::static_pass(&target)?;
+    let mut findings = verdict.dfa.findings.clone();
+    findings.extend(verdict.bcv.findings.iter().cloned());
+    sort_and_dedup_findings(&mut findings);
 
     let static_edge = findings
         .iter()
@@ -556,12 +307,10 @@ fn run_witness_check(variant: Bug) -> ExitCode {
         .map(|f| f.subject.clone());
     match variant {
         Bug::Deadlock if static_edge.is_none() => {
-            eprintln!("error: deadlock variant carries no static DFA003/DFA004 edge finding");
-            return ExitCode::FAILURE;
+            return Err("deadlock variant carries no static DFA003/DFA004 edge finding".into());
         }
         Bug::SharedScratch | Bug::BenignScratch if race_pair.is_none() => {
-            eprintln!("error: variant carries no static RACE401 — nothing to witness-check");
-            return ExitCode::FAILURE;
+            return Err("variant carries no static RACE401 — nothing to witness-check".into());
         }
         _ => {}
     }
@@ -573,18 +322,8 @@ fn run_witness_check(variant: Bug) -> ExitCode {
     }
 
     // Boot the debugger session and explore from the initial state.
-    let boot = app.boot_entry;
-    let info = std::mem::take(&mut app.info);
-    let mut session = Session::attach(sys, info);
-    if let Err(e) = session.boot(boot) {
-        eprintln!("boot failed: {e}");
-        return ExitCode::FAILURE;
-    }
-    if let Err(e) = attach_env(&mut session.sys, &app, N_MBS, 0xbeef) {
-        eprintln!("env attach failed: {e}");
-        return ExitCode::FAILURE;
-    }
-    session.load_bcv_input(bcv_input);
+    let mut session = oracle::boot_session(&target)?;
+    session.load_bcv_input(bcv::AnalysisInput::from_app(&verdict.app));
     println!(
         "witness-check {variant:?} ({} direction, until {})",
         if expect_witness {
@@ -594,20 +333,17 @@ fn run_witness_check(variant: Bug) -> ExitCode {
         },
         until.label()
     );
-    let transcript = match session.explore(None, None, until) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("explore failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let transcript = session
+        .explore(None, None, until)
+        .map_err(|e| format!("explore failed: {e}"))?;
     println!("{transcript}");
     let report = session
         .last_explore
         .clone()
         .expect("explore stores its report");
 
-    let mut ok = true;
+    // Every failed check is reported after the findings JSON.
+    let mut errors: Vec<String> = Vec::new();
     match (&report.witness, expect_witness) {
         (Some(w), true) => {
             let expected_rule = match variant {
@@ -615,76 +351,69 @@ fn run_witness_check(variant: Bug) -> ExitCode {
                 _ => multiverse::rules::WITNESSED_RACE,
             };
             if w.rule != expected_rule {
-                eprintln!("error: witness rule {} (expected {expected_rule})", w.rule);
-                ok = false;
+                errors.push(format!(
+                    "witness rule {} (expected {expected_rule})",
+                    w.rule
+                ));
             }
             // The dynamic blame must name the statically blamed pair.
             if matches!(variant, Bug::SharedScratch) {
                 let pair = race_pair.as_deref().unwrap_or("");
                 for name in pair.split(" <-> ") {
                     if !w.blame.contains(name) {
-                        eprintln!(
-                            "error: witness blame misses racy actor `{name}`: {}",
+                        errors.push(format!(
+                            "witness blame misses racy actor `{name}`: {}",
                             w.blame
-                        );
-                        ok = false;
+                        ));
                     }
                 }
             }
             // Replay in a fresh session (anchor must match a from-scratch
             // build) and confirm the failure dynamically.
             let wstr = w.to_string();
-            match replay_in_fresh_session(variant, N_MBS, &wstr) {
-                Ok(landed) => {
-                    match variant {
-                        Bug::Deadlock => {
-                            let clock = landed.sys.clock();
-                            if !landed.sys.platform.is_deadlocked()
-                                || landed.sys.runtime.pending_deferred(clock)
-                            {
-                                eprintln!("error: replayed session is not deadlocked");
-                                ok = false;
-                            }
-                            // The statically blamed edge starves an actor in
-                            // the replayed machine.
-                            let edge = static_edge.as_deref().unwrap_or("");
-                            let g = &landed.sys.runtime.graph;
-                            let starved = g.actors.iter().any(|a| {
-                                a.pe.is_some_and(|pe| match landed.sys.pe_status(pe) {
-                                    PeStatus::Blocked(
-                                        BlockReason::TokenWait { link }
-                                        | BlockReason::SpaceWait { link },
-                                    ) => g.link_label(LinkId(link)) == edge,
-                                    _ => false,
-                                })
-                            });
-                            if !starved {
-                                eprintln!("error: no PE blocked on the blamed edge `{edge}`");
-                                ok = false;
-                            }
-                            println!("replay confirmed: deadlocked at cycle {clock}, blocked on `{edge}`");
-                        }
-                        _ => {
-                            if landed.sys.clock() != w.failure_cycle {
-                                eprintln!(
-                                    "error: replay landed at cycle {} (witness fails at {})",
-                                    landed.sys.clock(),
-                                    w.failure_cycle
-                                );
-                                ok = false;
-                            } else {
-                                println!(
-                                    "replay confirmed: landed at failure cycle {}",
-                                    w.failure_cycle
-                                );
-                            }
-                        }
+            let replayed = oracle::boot_session(&target).and_then(|mut s| {
+                println!("{}", s.explore_replay(&wstr)?);
+                Ok(s)
+            });
+            match (replayed, variant) {
+                (Ok(landed), Bug::Deadlock) => {
+                    let clock = landed.sys.clock();
+                    if !landed.sys.platform.is_deadlocked()
+                        || landed.sys.runtime.pending_deferred(clock)
+                    {
+                        errors.push("replayed session is not deadlocked".into());
                     }
+                    // The statically blamed edge starves an actor in the
+                    // replayed machine.
+                    let edge = static_edge.as_deref().unwrap_or("");
+                    let g = &landed.sys.runtime.graph;
+                    let starved = g.actors.iter().any(|a| {
+                        a.pe.is_some_and(|pe| match landed.sys.pe_status(pe) {
+                            PeStatus::Blocked(
+                                BlockReason::TokenWait { link } | BlockReason::SpaceWait { link },
+                            ) => g.link_label(LinkId(link)) == edge,
+                            _ => false,
+                        })
+                    });
+                    if !starved {
+                        errors.push(format!("no PE blocked on the blamed edge `{edge}`"));
+                    }
+                    println!("replay confirmed: deadlocked at cycle {clock}, blocked on `{edge}`");
                 }
-                Err(e) => {
-                    eprintln!("error: witness replay failed: {e}");
-                    ok = false;
+                (Ok(landed), _) if landed.sys.clock() != w.failure_cycle => {
+                    errors.push(format!(
+                        "replay landed at cycle {} (witness fails at {})",
+                        landed.sys.clock(),
+                        w.failure_cycle
+                    ));
                 }
+                (Ok(_), _) => {
+                    println!(
+                        "replay confirmed: landed at failure cycle {}",
+                        w.failure_cycle
+                    );
+                }
+                (Err(e), _) => errors.push(format!("witness replay failed: {e}")),
             }
             // Attach the replayable trace to the static finding it
             // confirms, and record the dynamic finding itself.
@@ -721,12 +450,12 @@ fn run_witness_check(variant: Bug) -> ExitCode {
             );
         }
         (None, true) => {
-            eprintln!("error: expected a witness, exploration found none");
-            ok = false;
+            errors.push("expected a witness, exploration found none".into());
         }
         (Some(w), false) => {
-            eprintln!("error: data-dependent false positive produced a witness: {w}");
-            ok = false;
+            errors.push(format!(
+                "data-dependent false positive produced a witness: {w}"
+            ));
         }
         (None, false) => {
             println!(
@@ -746,14 +475,10 @@ fn run_witness_check(variant: Bug) -> ExitCode {
         }
     }
 
-    print!(
-        "{}",
-        dataflow_debugger::debuginfo::render_findings_json(&findings)
-    );
-    if ok {
-        println!("witness-check PASS");
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
+    print!("{}", render_findings_json(&findings));
+    if !errors.is_empty() {
+        return Err(errors.join("\nerror: ").into());
     }
+    println!("witness-check PASS");
+    Ok(())
 }

@@ -19,7 +19,10 @@
 //!   contribution);
 //! * [`server`] — the remote multi-session debug server (TCP, newline-
 //!   delimited JSON wire protocol, metrics and event log) and its client;
-//! * [`h264`] — the H.264-style case-study application (§VI).
+//! * [`h264`] — the H.264-style case-study application (§VI), and
+//!   [`decoder::Decoder`], its variants as a differential-oracle target.
+
+pub mod decoder;
 
 pub use appgen;
 pub use bcv;
