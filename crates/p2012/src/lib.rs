@@ -39,3 +39,18 @@ pub use vm::{
 };
 
 pub use debuginfo::{CodeAddr, Word};
+
+/// Feed `v`'s `Debug` text to a hasher as raw bytes without building a
+/// `String`. For a hasher whose `write` is streaming (FNV-1a's is) this
+/// is the same value as `h.write(format!("{v:?}").as_bytes())`: the
+/// text reaches it in pieces, but as the same bytes in the same order.
+pub fn hash_debug(h: &mut dyn std::hash::Hasher, v: &dyn std::fmt::Debug) {
+    struct Bytes<'a>(&'a mut dyn std::hash::Hasher);
+    impl std::fmt::Write for Bytes<'_> {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            self.0.write(s.as_bytes());
+            Ok(())
+        }
+    }
+    std::fmt::write(&mut Bytes(h), format_args!("{v:?}")).expect("writing to a hasher cannot fail");
+}

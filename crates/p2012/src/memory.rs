@@ -26,7 +26,9 @@
 //! The same sharing answers "what changed since that fork?": a page whose
 //! buffer is no longer the fork's buffer was written since
 //! ([`Memory::changed_pages`]). Checkpoint boundaries hash exactly those
-//! pages.
+//! pages. And a page still holding its bank's zero page is all zeros
+//! without reading it, so a full-memory hash ([`Memory::fnv_fold`]) costs
+//! what was written, not the size of the address space.
 
 use std::sync::Arc;
 
@@ -194,6 +196,12 @@ impl Page {
 #[derive(Debug, Clone)]
 struct Bank {
     pages: Vec<Page>,
+    /// The bank's zero page: every full page starts as a reference to
+    /// it, and a page still holding this very buffer is known to be all
+    /// zeros without reading it ([`Bank::fnv_fold`]). Per bank rather
+    /// than process-wide, so forks on different threads do not all
+    /// contend on one refcount.
+    zero: Arc<[Word]>,
 }
 
 impl Bank {
@@ -213,7 +221,7 @@ impl Bank {
                 vec![0; remaining].into_boxed_slice(),
             )));
         }
-        Bank { pages }
+        Bank { pages, zero }
     }
 
     #[inline]
@@ -249,12 +257,21 @@ impl Bank {
         }
     }
 
-    fn hash_into<H: std::hash::Hasher>(&self, h: &mut H) {
+    /// Continue an FNV-64 state over every word of the bank, in order.
+    fn fnv_fold(&self, mut state: u64) -> u64 {
         for p in &self.pages {
-            for w in p.as_slice() {
-                h.write_u32(*w);
+            match p {
+                Page::Shared(buf) if Arc::ptr_eq(buf, &self.zero) => {
+                    state = state.wrapping_mul(FNV_PRIME_POW_PAGE);
+                }
+                _ => {
+                    for &w in p.as_slice() {
+                        state = (state ^ u64::from(w)).wrapping_mul(FNV_PRIME);
+                    }
+                }
             }
         }
+        state
     }
 
     fn owned_words(&self) -> usize {
@@ -496,18 +513,33 @@ impl Memory {
             + self.l3.owned_words()
     }
 
-    /// Feed the complete memory content to a hasher (baseline hash of a
-    /// checkpoint chain; boundary hashes only cover changed pages). Generic
-    /// (not `dyn`) on purpose: this walks every word of every bank, and
-    /// monomorphisation lets the hasher's word fast path inline.
-    pub fn hash_full<H: std::hash::Hasher>(&self, h: &mut H) {
+    /// Continue an FNV-64 state over the complete memory content: every
+    /// word of every bank (L1 by cluster, then L2, then L3), one step
+    /// `state = (state ^ w) * FNV_PRIME` per word `w`. This is the
+    /// full-memory part of a state hash (checkpoint baselines,
+    /// `replay::full_state_hash`); boundary hashes only cover changed
+    /// pages. A page still on its bank's zero page is `PAGE_WORDS` zero
+    /// words, whose steps are bare multiplies: it costs one multiply by
+    /// `FNV_PRIME^PAGE_WORDS`, with the same result. So the fold costs in
+    /// proportion to the pages ever written, not to the size of the
+    /// address space.
+    pub fn fnv_fold(&self, mut state: u64) -> u64 {
         for bank in &self.l1 {
-            bank.hash_into(h);
+            state = bank.fnv_fold(state);
         }
-        self.l2.hash_into(h);
-        self.l3.hash_into(h);
+        state = self.l2.fnv_fold(state);
+        self.l3.fnv_fold(state)
     }
 }
+
+// ---- state hashing -------------------------------------------------------
+
+/// The 64-bit FNV prime. A state hash absorbs a memory word `w` as
+/// `state = (state ^ w) * FNV_PRIME` (wrapping).
+pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// `FNV_PRIME^PAGE_WORDS`: one untouched page.
+const FNV_PRIME_POW_PAGE: u64 = FNV_PRIME.wrapping_pow(PAGE_WORDS);
 
 #[cfg(test)]
 mod tests {

@@ -249,7 +249,7 @@ impl PeState {
         h.write_u32(self.pc);
         // Status carries enums with payloads; its Debug form is a stable,
         // collision-safe encoding without hand-maintaining a discriminant.
-        h.write(format!("{:?}", self.status).as_bytes());
+        crate::hash_debug(h, &self.status);
         h.write_u32(self.stall);
         h.write_u64(self.retired);
         h.write_u64(self.invocations);

@@ -1016,7 +1016,7 @@ impl Runtime {
         h.write_u64(self.stats.tokens_popped);
         h.write_u64(self.stats.work_invocations);
         for a in &self.actors_rt {
-            h.write(format!("{:?}", a.sched).as_bytes());
+            p2012::hash_debug(h, &a.sched);
             h.write_u8(u8::from(a.started));
             h.write_u8(u8::from(a.begun));
             h.write_u8(u8::from(a.sync_requested));

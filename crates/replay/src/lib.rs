@@ -29,6 +29,7 @@
 //! replay that follows verifies the hash chain boundary by boundary.
 
 use debuginfo::{Finding, Severity};
+use p2012::memory::FNV_PRIME;
 use p2012::{Memory, PageId};
 use pedf::System;
 
@@ -36,9 +37,16 @@ pub const RULE_DIVERGENCE: &str = "REPLAY501";
 
 // ---- hashing ---------------------------------------------------------------
 
-/// FNV-1a 64-bit, as a [`std::hash::Hasher`]. `DefaultHasher` is not
+/// The state hasher, as a [`std::hash::Hasher`]. `DefaultHasher` is not
 /// guaranteed stable across releases; divergence hashes must be, so runs
 /// can be compared across processes (the CI determinism gate).
+///
+/// Byte slices ([`Hasher::write`](std::hash::Hasher::write)) are FNV-1a
+/// 64, one byte per step. Integers are absorbed whole, one step per
+/// value: `state = (state ^ value) * FNV_PRIME`. A whole memory takes the
+/// same step per word through [`Fnv64::write_memory`], which folds each
+/// untouched page in one multiply (see [`Memory::fnv_fold`]) with the
+/// same result.
 #[derive(Debug, Clone)]
 pub struct Fnv64(u64);
 
@@ -52,6 +60,13 @@ impl Fnv64 {
         let mut h = Fnv64::new();
         std::hash::Hasher::write_u64(&mut h, prev);
         h
+    }
+
+    /// Absorb the complete content of `mem`, bank by bank; the same value
+    /// as `write_u32` on every word, at a cost in proportion to the pages
+    /// written (see [`Memory::fnv_fold`]).
+    pub fn write_memory(&mut self, mem: &Memory) {
+        self.0 = mem.fnv_fold(self.0);
     }
 }
 
@@ -69,16 +84,13 @@ impl std::hash::Hasher for Fnv64 {
     fn write(&mut self, bytes: &[u8]) {
         for b in bytes {
             self.0 ^= u64::from(*b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+            self.0 = self.0.wrapping_mul(FNV_PRIME);
         }
     }
 
-    // Word-at-a-time fast path: one absorb per integer instead of one per
-    // byte. The checkpoint engine hashes megabytes of memory content per
-    // baseline, and the byte loop dominated `enable_time_travel`. Mixing a
-    // whole word per multiply is plenty for divergence detection, stays
-    // process-stable, and (unlike the default `to_ne_bytes` forwarding) is
-    // endian-independent.
+    // One step per integer, not one per byte: mixing a whole word per
+    // multiply is plenty for divergence detection, and (unlike the default
+    // `to_ne_bytes` forwarding) endian-independent.
     fn write_u8(&mut self, i: u8) {
         self.write_u64(u64::from(i));
     }
@@ -92,7 +104,7 @@ impl std::hash::Hasher for Fnv64 {
     }
 
     fn write_u64(&mut self, i: u64) {
-        self.0 = (self.0 ^ i).wrapping_mul(0x0000_0100_0000_01b3);
+        self.0 = (self.0 ^ i).wrapping_mul(FNV_PRIME);
     }
 
     fn write_usize(&mut self, i: usize) {
@@ -114,7 +126,7 @@ pub fn full_state_hash(sys: &System) -> u64 {
     use std::hash::Hasher;
     let mut h = Fnv64::new();
     hash_machine_into(sys, &mut h);
-    sys.platform.mem.hash_full(&mut h);
+    h.write_memory(&sys.platform.mem);
     h.finish()
 }
 
@@ -179,11 +191,8 @@ impl<X> CheckpointManager<X> {
     /// Establish the baseline, hashed over the full memory. Becomes
     /// checkpoint 0 (with no changed pages).
     pub fn baseline(&mut self, sys: &mut System, payload: X) -> u32 {
-        use std::hash::Hasher;
-        let mut h = Fnv64::new();
-        hash_machine_into(sys, &mut h);
-        sys.platform.mem.hash_full(&mut h);
-        self.push(sys, h.finish(), 0, payload)
+        let hash = full_state_hash(sys);
+        self.push(sys, hash, 0, payload)
     }
 
     /// Append a fork of `sys` to the chain; it becomes the reference for
@@ -265,7 +274,7 @@ impl<X> CheckpointManager<X> {
         let mut h = Fnv64::chained(prev);
         hash_machine_into(sys, &mut h);
         for p in pages {
-            h.write(format!("{p:?}").as_bytes());
+            p2012::hash_debug(&mut h, p);
             for w in sys.platform.mem.page_data(*p) {
                 h.write_u32(*w);
             }
@@ -367,6 +376,10 @@ mod tests {
     /// A minimal system: one PE incrementing a counter in L2 forever.
     /// No dataflow graph — the runtime is a passive trap handler here.
     fn counter_system() -> System {
+        counter_system_on(PlatformConfig::default())
+    }
+
+    fn counter_system_on(config: PlatformConfig) -> System {
         let mut b = ProgramBuilder::new();
         let entry = b.begin_func(1);
         b.emit(Insn::Enter(1));
@@ -379,7 +392,7 @@ mod tests {
         b.emit(Insn::StoreMem);
         b.emit(Insn::Jump(top));
         let prog = b.finish();
-        let mut platform = Platform::new(PlatformConfig::default());
+        let mut platform = Platform::new(config);
         platform.load(prog);
         platform.invoke(PeId(0), entry, &[L2_BASE]);
         platform.invoke(PeId(1), entry, &[L2_BASE + 5000]);
@@ -531,6 +544,43 @@ mod tests {
         mgr.invalidate_after(10);
         assert_eq!(mgr.nearest_at_or_before(u64::MAX), Some(c1));
         assert_eq!(mgr.checkpoints().count(), 2);
+    }
+
+    /// The state hash definition itself, pinned: these values must never
+    /// change, or hashes persisted by one build (evicted sessions, CI
+    /// transcripts) stop matching the next.
+    #[test]
+    fn full_state_hash_values_are_pinned() {
+        let mut sys = counter_system();
+        assert_eq!(full_state_hash(&sys), 0x24e6_09b0_4278_4919, "fresh");
+        sys.run(250);
+        assert_eq!(
+            full_state_hash(&sys),
+            0xbf8c_a317_d27c_e7e5,
+            "after 250 cycles"
+        );
+
+        // Banks ending in a partial page, and a page written back to all
+        // zeros (no longer the bank's zero page, still all zeros).
+        let mut sys = counter_system_on(PlatformConfig {
+            mem: p2012::MemoryMap {
+                l2_words: 8 * p2012::PAGE_WORDS + 300,
+                l3_words: 2 * p2012::PAGE_WORDS + 7,
+                ..p2012::MemoryMap::default()
+            },
+            ..PlatformConfig::default()
+        });
+        sys.run(100);
+        let mem = &mut sys.platform.mem;
+        mem.poke(L3_BASE + p2012::PAGE_WORDS + 3, 9).unwrap();
+        mem.poke(L3_BASE + p2012::PAGE_WORDS + 3, 0).unwrap();
+        mem.poke(L3_BASE + 2 * p2012::PAGE_WORDS + 6, 11).unwrap();
+        mem.poke(L2_BASE + 8 * p2012::PAGE_WORDS + 299, 13).unwrap();
+        assert_eq!(
+            full_state_hash(&sys),
+            0xf96b_b0fc_c477_2339,
+            "partial pages"
+        );
     }
 
     #[test]

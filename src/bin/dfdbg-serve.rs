@@ -274,7 +274,12 @@ fn run_self_check(cfg: ServerConfig) -> i32 {
             return 1;
         }
     };
-    println!("self-check: /metrics scraped ({} bytes)", metrics.len());
+    // The series count, not the byte count: histogram sums are wall times,
+    // so the text's length varies from run to run.
+    println!(
+        "self-check: /metrics scraped ({} series)",
+        metrics.lines().filter(|l| l.starts_with("# TYPE ")).count()
+    );
     for (name, at_least) in [
         ("dfdbg_sessions_total", 1),
         ("dfdbg_commands_total", DEADLOCK_SCRIPT.len() as u64),
